@@ -17,7 +17,6 @@
 #include <iostream>
 #include <memory>
 
-#include "mdc/core/viprip_manager.hpp"
 #include "mdc/metrics/table.hpp"
 #include "mdc/scenario/fluid_engine.hpp"
 
@@ -35,7 +34,6 @@ struct World {
   HostFleet hosts;
   std::unique_ptr<ResolverPopulation> resolvers;
   std::unique_ptr<StaticDemand> demand;
-  std::unique_ptr<VipRipManager> viprip;
   std::unique_ptr<FluidEngine> engine;
   AppId app;
   VmId vmBusy, vmIdle, vmBackground;
@@ -86,11 +84,9 @@ struct World {
     resolvers = std::make_unique<ResolverPopulation>(dns, ResolverConfig{});
     demand = std::make_unique<StaticDemand>(
         std::vector<double>{24'000.0, 20'000.0});
-    viprip = std::make_unique<VipRipManager>(sim, fleet, dns, routes, apps,
-                                             topo, VipRipManager::Options{});
     engine = std::make_unique<FluidEngine>(sim, topo, apps, dns, *resolvers,
                                            routes, fleet, hosts, *demand,
-                                           *viprip, FluidEngine::Options{});
+                                           FluidEngine::Options{});
   }
 
   /// Overload of the worse server, measured as offered/capacity rps.

@@ -8,8 +8,7 @@
 //
 //   $ ./example_trace_vip_transfer
 //   $ jq 'select(.hop == "cmd_acked")' trace_vip_transfer.spans.jsonl
-//   $ jq 'select(.name | startswith("mdc.health"))' \
-//         trace_vip_transfer.metrics.jsonl
+//   $ jq 'select(.name | startswith("mdc.health"))' trace_vip_transfer.metrics.jsonl
 #include <fstream>
 #include <iostream>
 

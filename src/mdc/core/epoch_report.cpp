@@ -56,44 +56,9 @@ void encodeEpochReport(const EpochReport& rep, state::ByteWriter& w) {
     w.str(cause);
     w.f64(rps);
   }
-  w.f64(rep.degradedRoutedRps);
-  w.u32(rep.engineAppsRecomputed);
-  w.u32(rep.engineAppsCached);
-  w.u32(rep.downSwitches);
-  w.u32(rep.downServers);
-  w.u32(rep.orphanedVips);
-  w.u64(rep.ctrlMessagesDropped);
-  w.u64(rep.ctrlRetransmits);
-  w.u64(rep.ctrlTimeouts);
-  w.u32(rep.ctrlInflightCommands);
-  w.u32(rep.ctrlPartitionedLinks);
-  w.u64(rep.ctrlDriftLastAudit);
-  w.u64(rep.ctrlRepairsIssued);
-  w.u64(rep.managerTerm);
-  w.b(rep.managerLeaderUp);
-  w.u32(rep.managerAlive);
-  w.u64(rep.managerFailovers);
-  w.u64(rep.podManagerRestarts);
-  w.u64(rep.ctrlStaleTermRejections);
-  w.u64(rep.ctrlCancelledCommands);
-  w.u64(rep.faultPlanSeed);
-  w.u64(rep.faultsInjected);
-  w.u64(rep.faultRepairsApplied);
-  w.u64(rep.stateChangelogRecords);
-  w.u64(rep.stateSnapshotsTaken);
-  w.u64(rep.stateRecordsSinceSnapshot);
-  w.u64(rep.stateRecoveries);
-  w.u64(rep.stateReplayedRecords);
-  w.u64(rep.stateTruncatedBytes);
-  w.u64(rep.stateSnapshotsRejected);
-  w.u64(rep.stateCompactedRecords);
-  w.u64(rep.sessionArrivals);
-  w.u64(rep.sessionActive);
-  w.u64(rep.sessionCompleted);
-  w.u64(rep.sessionBroken);
-  w.u64(rep.sessionRejected);
-  w.u64(rep.sessionDrainsCompleted);
-  w.f64(rep.sessionDrainP99Seconds);
+#define MDC_ENCODE_GAUGE(field, type, wire, ...) w.wire(rep.field);
+  MDC_EPOCH_REPORT_GAUGES(MDC_ENCODE_GAUGE, MDC_ENCODE_GAUGE)
+#undef MDC_ENCODE_GAUGE
 }
 
 EpochReport decodeEpochReport(state::ByteReader& r) {
@@ -112,44 +77,9 @@ EpochReport decodeEpochReport(state::ByteReader& r) {
     std::string cause = r.str();
     rep.unroutedByCause[std::move(cause)] = r.f64();
   }
-  rep.degradedRoutedRps = r.f64();
-  rep.engineAppsRecomputed = r.u32();
-  rep.engineAppsCached = r.u32();
-  rep.downSwitches = r.u32();
-  rep.downServers = r.u32();
-  rep.orphanedVips = r.u32();
-  rep.ctrlMessagesDropped = r.u64();
-  rep.ctrlRetransmits = r.u64();
-  rep.ctrlTimeouts = r.u64();
-  rep.ctrlInflightCommands = r.u32();
-  rep.ctrlPartitionedLinks = r.u32();
-  rep.ctrlDriftLastAudit = r.u64();
-  rep.ctrlRepairsIssued = r.u64();
-  rep.managerTerm = r.u64();
-  rep.managerLeaderUp = r.b();
-  rep.managerAlive = r.u32();
-  rep.managerFailovers = r.u64();
-  rep.podManagerRestarts = r.u64();
-  rep.ctrlStaleTermRejections = r.u64();
-  rep.ctrlCancelledCommands = r.u64();
-  rep.faultPlanSeed = r.u64();
-  rep.faultsInjected = r.u64();
-  rep.faultRepairsApplied = r.u64();
-  rep.stateChangelogRecords = r.u64();
-  rep.stateSnapshotsTaken = r.u64();
-  rep.stateRecordsSinceSnapshot = r.u64();
-  rep.stateRecoveries = r.u64();
-  rep.stateReplayedRecords = r.u64();
-  rep.stateTruncatedBytes = r.u64();
-  rep.stateSnapshotsRejected = r.u64();
-  rep.stateCompactedRecords = r.u64();
-  rep.sessionArrivals = r.u64();
-  rep.sessionActive = r.u64();
-  rep.sessionCompleted = r.u64();
-  rep.sessionBroken = r.u64();
-  rep.sessionRejected = r.u64();
-  rep.sessionDrainsCompleted = r.u64();
-  rep.sessionDrainP99Seconds = r.f64();
+#define MDC_DECODE_GAUGE(field, type, wire, ...) rep.field = r.wire();
+  MDC_EPOCH_REPORT_GAUGES(MDC_DECODE_GAUGE, MDC_DECODE_GAUGE)
+#undef MDC_DECODE_GAUGE
   return rep;
 }
 

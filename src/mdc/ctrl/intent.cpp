@@ -183,11 +183,10 @@ void IntentStore::forEach(
   for (const auto& [vip, intent] : vips_) fn(vip, intent);
 }
 
-void IntentJournal::append(IntentRecord record) {
+void IntentJournal::append(const IntentRecord& record) {
   state::ByteWriter w;
   encodeIntentRecord(record, w);
   log_.append(w.bytes());
-  records_.push_back(std::move(record));
 }
 
 void IntentJournal::appendTermChange(std::uint64_t term) {
@@ -222,17 +221,12 @@ IntentStore IntentJournal::replay() const {
 }
 
 void IntentJournal::resyncFromDurable() {
-  records_.clear();
   lastTerm_ = 0;
   const state::Changelog::Replay rep = log_.replay();
   for (const auto& payload : rep.records) {
     JournalEntry entry;
     if (!decodeJournalEntry(payload, entry)) break;
-    if (entry.tag == kJournalTagIntent) {
-      records_.push_back(entry.record);
-    } else if (entry.tag == kJournalTagTermChange) {
-      lastTerm_ = entry.term;
-    }
+    if (entry.tag == kJournalTagTermChange) lastTerm_ = entry.term;
   }
 }
 

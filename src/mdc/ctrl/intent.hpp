@@ -125,32 +125,26 @@ class IntentStore {
   std::unordered_map<SwitchId, std::uint32_t> ripCount_;
 };
 
-/// Write-ahead journal over a checksummed changelog.  The in-memory
-/// record cache mirrors the durable bytes for cheap iteration; replay
-/// and recovery always parse the bytes.
+/// Write-ahead journal over a checksummed changelog.  The durable bytes
+/// are the only copy: replay and recovery always parse them.
 class IntentJournal {
  public:
-  void append(IntentRecord record);
-  /// Journals a fencing-term change (not an intent mutation: term
-  /// records are invisible to records()/size()).
+  void append(const IntentRecord& record);
+  /// Journals a fencing-term change (not an intent mutation: replay
+  /// skips term records).
   void appendTermChange(std::uint64_t term);
-  /// Journals one scheduling round's admission counts (invisible to
-  /// records()/size(), like term changes).
+  /// Journals one scheduling round's admission counts (skipped by
+  /// replay, like term changes).
   void appendAdmission(const AdmissionRoundRecord& round);
-
-  [[nodiscard]] const std::vector<IntentRecord>& records() const noexcept {
-    return records_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
 
   /// Rebuilds the intended state by replaying the longest valid prefix
   /// of the durable bytes — stops at the first malformed record instead
   /// of asserting or propagating garbage.
   [[nodiscard]] IntentStore replay() const;
 
-  /// Re-derives the record cache (and the highest journaled term) from
-  /// the durable valid prefix.  Called after recovery truncated the
-  /// changelog, so records() never shows records replay would reject.
+  /// Re-derives the highest journaled term from the durable valid
+  /// prefix.  Called after recovery truncated the changelog, so
+  /// lastTerm() never reports a term whose record was cut off.
   void resyncFromDurable();
 
   /// Highest term ever journaled (0 before the first term change).
@@ -163,7 +157,6 @@ class IntentJournal {
 
  private:
   state::Changelog log_;
-  std::vector<IntentRecord> records_;
   std::uint64_t lastTerm_ = 0;
 };
 

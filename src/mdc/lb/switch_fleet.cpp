@@ -196,7 +196,9 @@ void SwitchFleet::recoverSwitch(SwitchId sw) { at(sw).recover(); }
 
 std::size_t SwitchFleet::upCount() const {
   std::size_t n = 0;
-  for (const LbSwitch& sw : switches_) n += sw.up() ? 1 : 0;
+  for (const LbSwitch& sw : switches_) {
+    if (sw.up()) ++n;
+  }
   return n;
 }
 

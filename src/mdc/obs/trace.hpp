@@ -93,16 +93,22 @@ struct TraceEvent {
   SpanId span = 0;
   SpanId parent = 0;
   HopKind hop = HopKind::RequestSubmitted;
+  // Status code or op name.  Sized for the longest code the repo records,
+  // "insufficient_capacity" (21 chars), so trace codes match the Status
+  // and rejection-taxonomy strings byte for byte; next to the one-byte
+  // hop it fills what was padding, so an event stays one 64-byte line.
+  char code[23] = {};
   SimTime at = 0.0;
   std::uint64_t a = 0;  // hop-specific: seq, switch id, ...
   std::uint64_t b = 0;  // hop-specific: term, attempt, ...
-  char code[16] = {};   // status / op, truncated to 15 chars
 
   void setCode(const char* s) noexcept {
     std::strncpy(code, s == nullptr ? "" : s, sizeof(code) - 1);
     code[sizeof(code) - 1] = '\0';
   }
 };
+static_assert(sizeof("insufficient_capacity") <= sizeof(TraceEvent::code));
+static_assert(sizeof(TraceEvent) == 64);
 
 /// Fixed-capacity lock-free event ring.  Writers claim slots with a
 /// relaxed fetch_add (safe from any thread); reading a consistent

@@ -6,8 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "mdc/core/viprip_manager.hpp"
-#include "mdc/ctrl/reconciler.hpp"
 #include "mdc/util/expect.hpp"
 #include "mdc/util/stats.hpp"
 
@@ -83,8 +81,7 @@ FluidEngine::FluidEngine(Simulation& sim, const Topology& topo,
                          AppRegistry& apps, AuthoritativeDns& dns,
                          ResolverPopulation& resolvers, RouteRegistry& routes,
                          SwitchFleet& fleet, HostFleet& hosts,
-                         const DemandModel& demand,
-                         const VipRipManager& viprip, Options options)
+                         const DemandModel& demand, Options options)
     : sim_(sim),
       topo_(topo),
       apps_(apps),
@@ -94,7 +91,6 @@ FluidEngine::FluidEngine(Simulation& sim, const Topology& topo,
       fleet_(fleet),
       hosts_(hosts),
       demand_(demand),
-      viprip_(viprip),
       options_(options),
       demandInvariant_(demand.timeInvariant()),
       // resolveWorkers clamps to physical cores (unless the caller set
@@ -528,30 +524,7 @@ EpochReport FluidEngine::step() {
     if (i < fleet_.size()) fleet_.at(sw).setOfferedGbps(off);
   }
 
-  // Failure-state snapshot.
-  report.downSwitches =
-      static_cast<std::uint32_t>(fleet_.size() - fleet_.upCount());
-  report.downServers = static_cast<std::uint32_t>(hosts_.downServers());
-  report.orphanedVips = static_cast<std::uint32_t>(fleet_.pendingOrphans());
-
-  // Control-plane snapshot.
-  report.ctrlMessagesDropped = viprip_.ctrlChannel().messagesDropped();
-  report.ctrlRetransmits = viprip_.ctrlSender().retransmits();
-  report.ctrlTimeouts = viprip_.ctrlSender().timeouts();
-  report.ctrlInflightCommands = viprip_.ctrlSender().inflight();
-  report.ctrlPartitionedLinks =
-      static_cast<std::uint32_t>(viprip_.ctrlChannel().partitionedLinks());
-  if (const Reconciler* rec = viprip_.reconciler(); rec != nullptr) {
-    report.ctrlDriftLastAudit = rec->divergenceLastRound();
-    report.ctrlRepairsIssued = rec->repairsIssued();
-  }
-
-  // Manager-tier snapshot (E16).  The sender-side gauges live here; the
-  // leadership and fault-injection gauges come from components the engine
-  // does not know, via the decorator MegaDc installs.
-  report.managerTerm = viprip_.ctrlSender().currentTerm();
-  report.ctrlStaleTermRejections = viprip_.ctrlSender().staleTermRejections();
-  report.ctrlCancelledCommands = viprip_.ctrlSender().cancelledCommands();
+  // Gauges sampled outside the flow model (MegaDc::sampleGauges).
   if (decorate_) decorate_(report);
 
   // Recorded series.

@@ -50,8 +50,6 @@
 
 namespace mdc {
 
-class VipRipManager;
-
 class FluidEngine {
  public:
   struct Options {
@@ -74,8 +72,7 @@ class FluidEngine {
   FluidEngine(Simulation& sim, const Topology& topo, AppRegistry& apps,
               AuthoritativeDns& dns, ResolverPopulation& resolvers,
               RouteRegistry& routes, SwitchFleet& fleet, HostFleet& hosts,
-              const DemandModel& demand,
-              const VipRipManager& viprip, Options options);
+              const DemandModel& demand, Options options);
   ~FluidEngine();
 
   FluidEngine(const FluidEngine&) = delete;
@@ -87,10 +84,10 @@ class FluidEngine {
   /// Register the periodic epoch loop; each report is forwarded to `sink`.
   void start(std::function<void(const EpochReport&)> sink);
 
-  /// Installs a hook that annotates every report with gauges owned by
-  /// components the engine has no reference to (manager leadership,
-  /// fault-injector counters).  Runs inside step(), after the engine's
-  /// own fields are filled and before the report is published.
+  /// Installs a hook that fills the report's sampled gauges (the GAUGE
+  /// rows of MDC_EPOCH_REPORT_GAUGES), which the flow model does not
+  /// compute.  Runs inside step(), after the flow fields are filled and
+  /// before the report is published.
   void setReportDecorator(std::function<void(EpochReport&)> decorate) {
     decorate_ = std::move(decorate);
   }
@@ -180,7 +177,6 @@ class FluidEngine {
   SwitchFleet& fleet_;
   HostFleet& hosts_;
   const DemandModel& demand_;
-  const VipRipManager& viprip_;
   Options options_;
   bool demandInvariant_;
 

@@ -56,19 +56,7 @@ MegaDc::MegaDc(MegaDcConfig config)
     manager->createPod(servers);
   }
 
-  engine = std::make_unique<FluidEngine>(sim, topo, apps, dns, *resolvers,
-                                         routes, fleet, hosts, *demand,
-                                         manager->viprip(), config_.engine);
-
-  if (config_.enableSessionEngine) {
-    // Derived like the channel seed: replayable from the scenario seed,
-    // uncorrelated with the other component streams.
-    config_.session.seed = config_.seed * 0x9e3779b9u + 0xe19u;
-    sessions = std::make_unique<SessionEngine>(sim, apps, *demand, dns,
-                                               *resolvers, fleet,
-                                               config_.session);
-    sessions->attachTracer(tracer.get());
-  }
+  buildEngines();
 
   std::vector<PodManager*> rawPods;
   rawPods.reserve(manager->pods().size());
@@ -78,7 +66,6 @@ MegaDc::MegaDc(MegaDcConfig config)
   faults->attachPods(rawPods);
   faults->attachChannel(&manager->viprip().ctrlChannel());
   faults->attachManager(manager.get());
-  decorateReports();
   if (config_.enableHealthMonitor) {
     health = std::make_unique<HealthMonitor>(sim, fleet, hosts, apps, dns,
                                              manager->viprip(),
@@ -88,41 +75,53 @@ MegaDc::MegaDc(MegaDcConfig config)
   registerStandardMetrics();
 }
 
-void MegaDc::decorateReports() {
-  // Leadership and fault-replay gauges (E16) come from components the
-  // engine has no reference to.
-  engine->setReportDecorator([this](EpochReport& r) {
-    r.managerLeaderUp = manager->leaderUp();
-    r.managerAlive = manager->aliveManagers();
-    r.managerFailovers = manager->failovers();
-    r.podManagerRestarts = manager->podRestarts();
-    r.faultPlanSeed = faults->seed();
-    r.faultsInjected = faults->faultsInjected();
-    r.faultRepairsApplied = faults->repairsApplied();
-    // Durable-state machine (E17).
-    auto& machine = manager->viprip().stateMachine();
-    r.stateChangelogRecords = machine.changelog().size();
-    r.stateSnapshotsTaken = machine.snapshotsTaken();
-    r.stateRecordsSinceSnapshot = machine.recordsSinceSnapshot();
-    r.stateRecoveries = machine.recoveries();
-    r.stateReplayedRecords = machine.replayedRecordsTotal();
-    r.stateTruncatedBytes = machine.truncatedBytesTotal();
-    r.stateSnapshotsRejected = machine.snapshotsRejectedTotal();
-    r.stateCompactedRecords = machine.compactedRecordsTotal();
-    // Session data plane (E19) — zeros when the engine is disabled.
-    if (sessions) {
-      r.sessionArrivals = sessions->totalArrivals();
-      r.sessionActive = sessions->activeSessions();
-      r.sessionCompleted = sessions->completedSessions();
-      r.sessionBroken = sessions->brokenSessions();
-      r.sessionRejected = sessions->rejectedSessions();
-      r.sessionDrainsCompleted = sessions->drainsCompleted();
-      r.sessionDrainP99Seconds = sessions->drainP99Seconds();
-    }
-  });
+MegaDc::~MegaDc() {
+  // Members die in reverse declaration order, which would free the
+  // health monitor (and the engines) before the manager.  But destroying
+  // the manager is a process crash: it completes every queued or
+  // in-flight request with "cancelled", and those completions run
+  // callbacks that other components registered (the health monitor's
+  // VIP-restore and dead-VM-cleanup retries write to the monitor).  So
+  // the manager goes first, while everything it can call back is alive.
+  manager.reset();
+}
+
+void MegaDc::buildEngines() {
+  engine = std::make_unique<FluidEngine>(sim, topo, apps, dns, *resolvers,
+                                         routes, fleet, hosts, *demand,
+                                         config_.engine);
+  engine->setReportDecorator([this](EpochReport& r) { sampleGauges(r); });
+  if (!config_.enableSessionEngine) return;
+  // Destroy before rebuilding: an old engine must detach its shards from
+  // the switches before the new one attaches its own.
+  sessions.reset();
+  // Derived like the channel seed: replayable from the scenario seed,
+  // uncorrelated with the other component streams.
+  config_.session.seed = config_.seed * 0x9e3779b9u + 0xe19u;
+  sessions = std::make_unique<SessionEngine>(sim, apps, *demand, dns,
+                                             *resolvers, fleet,
+                                             config_.session);
+  sessions->attachTracer(tracer.get());
+}
+
+void MegaDc::sampleGauges(EpochReport& r) {
+#define MDC_SAMPLE_GAUGE(field, type, wire, init, metric, source) \
+  r.field = static_cast<type>(source);
+  MDC_EPOCH_REPORT_GAUGES(MDC_EPOCH_REPORT_SKIP, MDC_SAMPLE_GAUGE)
+#undef MDC_SAMPLE_GAUGE
 }
 
 void MegaDc::registerStandardMetrics() {
+  // Every sampled report gauge, read live from its source (not from the
+  // last report), so snapshot() is current between epochs too.
+#define MDC_REGISTER_GAUGE(field, type, wire, init, metric, source) \
+  metrics.registerGauge(metric, [this] {                           \
+    return static_cast<double>(static_cast<type>(source));          \
+  });
+  MDC_EPOCH_REPORT_GAUGES(MDC_EPOCH_REPORT_SKIP, MDC_REGISTER_GAUGE)
+#undef MDC_REGISTER_GAUGE
+
+  // Registry-only gauges.
   auto u64 = [](std::uint64_t v) { return static_cast<double>(v); };
 
   // Control channel + command sender (E14).
@@ -130,17 +129,11 @@ void MegaDc::registerStandardMetrics() {
   metrics.registerGauge("mdc.ctrl.messages_sent", [&vr, u64] {
     return u64(vr.ctrlChannel().messagesSent());
   });
-  metrics.registerGauge("mdc.ctrl.messages_dropped", [&vr, u64] {
-    return u64(vr.ctrlChannel().messagesDropped());
-  });
   metrics.registerGauge("mdc.ctrl.messages_duplicated", [&vr, u64] {
     return u64(vr.ctrlChannel().messagesDuplicated());
   });
   metrics.registerGauge("mdc.ctrl.messages_reordered", [&vr, u64] {
     return u64(vr.ctrlChannel().messagesReordered());
-  });
-  metrics.registerGauge("mdc.ctrl.partitioned_links", [&vr] {
-    return static_cast<double>(vr.ctrlChannel().partitionedLinks());
   });
   metrics.registerGauge("mdc.ctrl.commands_sent", [&vr, u64] {
     return u64(vr.ctrlSender().commandsSent());
@@ -148,35 +141,8 @@ void MegaDc::registerStandardMetrics() {
   metrics.registerGauge("mdc.ctrl.acks_received", [&vr, u64] {
     return u64(vr.ctrlSender().acksReceived());
   });
-  metrics.registerGauge("mdc.ctrl.retransmits", [&vr, u64] {
-    return u64(vr.ctrlSender().retransmits());
-  });
-  metrics.registerGauge("mdc.ctrl.timeouts", [&vr, u64] {
-    return u64(vr.ctrlSender().timeouts());
-  });
-  metrics.registerGauge("mdc.ctrl.inflight", [&vr] {
-    return static_cast<double>(vr.ctrlSender().inflight());
-  });
-  metrics.registerGauge("mdc.ctrl.cancelled_commands", [&vr, u64] {
-    return u64(vr.ctrlSender().cancelledCommands());
-  });
-  metrics.registerGauge("mdc.ctrl.stale_term_rejections", [&vr, u64] {
-    return u64(vr.ctrlSender().staleTermRejections());
-  });
 
-  // Manager tier (E16) and the serialized VIP/RIP queue (§III-C).
-  metrics.registerGauge("mdc.manager.term",
-                        [this, u64] { return u64(manager->term()); });
-  metrics.registerGauge("mdc.manager.leader_up", [this] {
-    return manager->leaderUp() ? 1.0 : 0.0;
-  });
-  metrics.registerGauge("mdc.manager.alive_instances", [this] {
-    return static_cast<double>(manager->aliveManagers());
-  });
-  metrics.registerGauge("mdc.manager.failovers",
-                        [this, u64] { return u64(manager->failovers()); });
-  metrics.registerGauge("mdc.manager.pod_restarts",
-                        [this, u64] { return u64(manager->podRestarts()); });
+  // The serialized VIP/RIP queue (§III-C).
   metrics.registerGauge("mdc.manager.queue_length", [&vr] {
     return static_cast<double>(vr.queueLength());
   });
@@ -232,37 +198,13 @@ void MegaDc::registerStandardMetrics() {
   auto machine = [this]() -> state::DurableStateMachine& {
     return manager->viprip().stateMachine();
   };
-  metrics.registerGauge("mdc.state.changelog_records", [machine, u64] {
-    return u64(machine().changelog().size());
-  });
   metrics.registerGauge("mdc.state.changelog_bytes", [machine, u64] {
     return u64(machine().changelog().bytes());
-  });
-  metrics.registerGauge("mdc.state.snapshots_taken", [machine, u64] {
-    return u64(machine().snapshotsTaken());
-  });
-  metrics.registerGauge("mdc.state.records_since_snapshot", [machine, u64] {
-    return u64(machine().recordsSinceSnapshot());
   });
   metrics.registerGauge("mdc.state.snapshot_age_seconds", [this, machine] {
     return machine().snapshotsTaken() > 0
                ? sim.now() - machine().lastSnapshotAt()
                : 0.0;
-  });
-  metrics.registerGauge("mdc.state.recoveries", [machine, u64] {
-    return u64(machine().recoveries());
-  });
-  metrics.registerGauge("mdc.state.replayed_records", [machine, u64] {
-    return u64(machine().replayedRecordsTotal());
-  });
-  metrics.registerGauge("mdc.state.truncated_bytes", [machine, u64] {
-    return u64(machine().truncatedBytesTotal());
-  });
-  metrics.registerGauge("mdc.state.snapshots_rejected", [machine, u64] {
-    return u64(machine().snapshotsRejectedTotal());
-  });
-  metrics.registerGauge("mdc.state.compacted_records", [machine, u64] {
-    return u64(machine().compactedRecordsTotal());
   });
 
   // Anti-entropy reconciler (E14) — built at start(); 0 until then.
@@ -275,12 +217,6 @@ void MegaDc::registerStandardMetrics() {
   });
   metrics.registerGauge("mdc.reconciler.drift_detected", [rec, u64] {
     return rec() ? u64(rec()->driftDetected()) : 0.0;
-  });
-  metrics.registerGauge("mdc.reconciler.divergence_last_round", [rec, u64] {
-    return rec() ? u64(rec()->divergenceLastRound()) : 0.0;
-  });
-  metrics.registerGauge("mdc.reconciler.repairs_issued", [rec, u64] {
-    return rec() ? u64(rec()->repairsIssued()) : 0.0;
   });
   metrics.registerGauge("mdc.reconciler.repairs_succeeded", [rec, u64] {
     return rec() ? u64(rec()->repairsSucceeded()) : 0.0;
@@ -342,25 +278,6 @@ void MegaDc::registerStandardMetrics() {
     return health ? health->unavailabilityRpsSeconds() : 0.0;
   });
 
-  // Fault injector.
-  metrics.registerGauge("mdc.fault.injected", [this, u64] {
-    return u64(faults->faultsInjected());
-  });
-  metrics.registerGauge("mdc.fault.repairs_applied", [this, u64] {
-    return u64(faults->repairsApplied());
-  });
-
-  // Fleet failure state (the EpochReport's failure snapshot).
-  metrics.registerGauge("mdc.fleet.down_switches", [this] {
-    return static_cast<double>(fleet.size() - fleet.upCount());
-  });
-  metrics.registerGauge("mdc.fleet.orphaned_vips", [this] {
-    return static_cast<double>(fleet.pendingOrphans());
-  });
-  metrics.registerGauge("mdc.hosts.down_servers", [this] {
-    return static_cast<double>(hosts.downServers());
-  });
-
   // Epoch engine: cache effectiveness + per-phase wall-clock profile.
   // Deliberately dereferences `engine` (and its profiler) inside the
   // callback so the gauges survive the rebuild in setDemandModel().
@@ -390,18 +307,6 @@ void MegaDc::registerStandardMetrics() {
   }
 
   // Session data plane (E19) — null unless enabled; gauges read 0 then.
-  metrics.registerGauge("mdc.session.active", [this, u64] {
-    return sessions ? u64(sessions->activeSessions()) : 0.0;
-  });
-  metrics.registerGauge("mdc.session.arrivals", [this, u64] {
-    return sessions ? u64(sessions->totalArrivals()) : 0.0;
-  });
-  metrics.registerGauge("mdc.session.completed", [this, u64] {
-    return sessions ? u64(sessions->completedSessions()) : 0.0;
-  });
-  metrics.registerGauge("mdc.session.broken", [this, u64] {
-    return sessions ? u64(sessions->brokenSessions()) : 0.0;
-  });
   for (std::size_t r = 0; r < kSessionRejectCount; ++r) {
     const auto reason = static_cast<SessionReject>(r);
     metrics.registerGauge(
@@ -414,14 +319,8 @@ void MegaDc::registerStandardMetrics() {
   metrics.registerGauge("mdc.session.drains_in_progress", [this] {
     return sessions ? static_cast<double>(sessions->drainsInProgress()) : 0.0;
   });
-  metrics.registerGauge("mdc.session.drains_completed", [this, u64] {
-    return sessions ? u64(sessions->drainsCompleted()) : 0.0;
-  });
   metrics.registerGauge("mdc.session.drains_aborted", [this, u64] {
     return sessions ? u64(sessions->drainsAborted()) : 0.0;
-  });
-  metrics.registerGauge("mdc.session.drain_p99_seconds", [this] {
-    return sessions ? sessions->drainP99Seconds() : 0.0;
   });
 
   // The tracer's own ring.
@@ -437,20 +336,8 @@ void MegaDc::setDemandModel(std::unique_ptr<DemandModel> model) {
   MDC_EXPECT(model != nullptr, "null demand model");
   MDC_EXPECT(!started_, "cannot swap demand model after start()");
   demand = std::move(model);
-  // Rebuild the engine against the new model (it holds a reference).
-  engine = std::make_unique<FluidEngine>(sim, topo, apps, dns, *resolvers,
-                                         routes, fleet, hosts, *demand,
-                                         manager->viprip(), config_.engine);
-  if (sessions) {
-    // Destroy before rebuilding: the old engine must detach its shards
-    // from the switches before the new one attaches its own.
-    sessions.reset();
-    sessions = std::make_unique<SessionEngine>(sim, apps, *demand, dns,
-                                               *resolvers, fleet,
-                                               config_.session);
-    sessions->attachTracer(tracer.get());
-  }
-  decorateReports();
+  // Rebuild the engines against the new model (they hold a reference).
+  buildEngines();
   registerStandardMetrics();
 }
 

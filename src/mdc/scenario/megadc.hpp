@@ -75,6 +75,7 @@ struct MegaDcConfig {
 class MegaDc {
  public:
   explicit MegaDc(MegaDcConfig config);
+  ~MegaDc();
 
   /// Registers every app with DNS/VIPs and spreads initial instances.
   void deployAllApps();
@@ -120,13 +121,20 @@ class MegaDc {
   std::unique_ptr<HealthMonitor> health;  // null when disabled
 
  private:
-  /// Installs the E16 report decorator on the current engine (leadership
-  /// + fault-injector gauges the engine cannot reach itself).
-  void decorateReports();
+  /// (Re)builds the fluid engine, with sampleGauges() as its report
+  /// decorator, and the session engine when enabled, over the current
+  /// demand model.
+  void buildEngines();
+
+  /// Fills the report's GAUGE rows (MDC_EPOCH_REPORT_GAUGES) from the
+  /// components that own them.
+  void sampleGauges(EpochReport& r);
 
   /// Registers callback gauges for every component counter under the
-  /// `mdc.<subsystem>.<metric>` convention.  Idempotent (re-registration
-  /// replaces the callback), so it is re-run after engine rebuilds.
+  /// `mdc.<subsystem>.<metric>` convention: the report's GAUGE rows from
+  /// the table, the registry-only counters by hand.  Idempotent
+  /// (re-registration replaces the callback), so it is re-run after
+  /// engine rebuilds.
   void registerStandardMetrics();
 
   MegaDcConfig config_;

@@ -9,6 +9,7 @@
 
 #include "mdc/core/viprip_manager.hpp"
 #include "mdc/ctrl/admission.hpp"
+#include "mdc/obs/trace.hpp"
 
 namespace mdc {
 namespace {
@@ -299,7 +300,7 @@ TEST(AdmissionIntegration, DisjointRequestsCommitInOneRound) {
   Fixture f;
   std::vector<double> doneAt;
   for (int i = 0; i < 3; ++i) {
-    const AppId app = f.apps.create("a" + std::to_string(i), AppSla{}, 100.0);
+    const AppId app = f.apps.create(std::string{"a"} + std::to_string(i), AppSla{}, 100.0);
     VipRipRequest req;
     req.op = VipRipOp::NewVip;
     req.app = app;
@@ -409,10 +410,36 @@ TEST(AdmissionIntegration, DeadlineExpiredSettlesAsRejection) {
             static_cast<std::uint64_t>(expired));
 }
 
+TEST(AdmissionIntegration, TracedDeadlineExpiryKeepsFullStatusCode) {
+  auto o = Fixture::options();
+  o.admission.capacityDeadlineSeconds = 0.45;
+  Fixture f(o);
+  Tracer tracer(f.sim, Tracer::Options{.enabled = true});
+  f.viprip.attachTracer(&tracer);
+  const AppId app = f.apps.create("a", AppSla{}, 100.0);
+  for (int i = 0; i < 8; ++i) {
+    VipRipRequest req;
+    req.op = VipRipOp::NewVip;
+    req.app = app;
+    EXPECT_TRUE(f.viprip.submit(std::move(req)).accepted);
+  }
+  f.sim.runUntil(1e6);
+  ASSERT_GT(f.viprip.admissionTotals().expired, 0u);
+  // The RequestDone hop carries the code the Status carried, untruncated.
+  std::uint64_t tracedExpiries = 0;
+  for (const TraceEvent& e : tracer.ring().snapshot()) {
+    if (e.hop == HopKind::RequestDone &&
+        std::string(e.code) == "deadline_expired") {
+      ++tracedExpiries;
+    }
+  }
+  EXPECT_EQ(tracedExpiries, f.viprip.admissionTotals().expired);
+}
+
 TEST(AdmissionIntegration, AdmissionTotalsReplayBitIdentical) {
   Fixture f;
   for (int i = 0; i < 4; ++i) {
-    const AppId app = f.apps.create("a" + std::to_string(i), AppSla{}, 100.0);
+    const AppId app = f.apps.create(std::string{"a"} + std::to_string(i), AppSla{}, 100.0);
     VipRipRequest req;
     req.op = VipRipOp::NewVip;
     req.app = app;

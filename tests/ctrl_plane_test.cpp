@@ -391,7 +391,7 @@ TEST(CtrlPlane, JournalRebuildSurvivesManagerCrash) {
   VipRipManager& vm = dc.manager->viprip();
   const std::size_t vips = vm.intent().vipCount();
   ASSERT_GT(vips, 0u);
-  ASSERT_GT(vm.intentJournal().size(), 0u);
+  ASSERT_GT(vm.intentJournal().changelog().size(), 0u);
 
   // Simulated manager crash: in-memory intent is lost and rebuilt from
   // the write-ahead journal alone.

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "mdc/core/viprip_manager.hpp"
 #include "mdc/scenario/fluid_engine.hpp"
 
 namespace mdc {
@@ -30,9 +29,11 @@ FluidEngine::Options engineOptions(bool incremental, unsigned workers) {
   return o;
 }
 
-/// Exact, field-for-field report comparison.  The engine-observability
-/// counters (engineAppsRecomputed/engineAppsCached) are deliberately
-/// excluded: they describe the computation, not the modelled system.
+/// Exact, field-for-field comparison of what the flow model computes.  The
+/// engine-observability counters (engineAppsRecomputed/engineAppsCached)
+/// are deliberately excluded: they describe the computation, not the
+/// modelled system.  The sampled gauges stay at their defaults here (no
+/// MegaDc samples them).
 void expectSameReport(const EpochReport& a, const EpochReport& b,
                       const std::string& what) {
   SCOPED_TRACE(what);
@@ -47,14 +48,6 @@ void expectSameReport(const EpochReport& a, const EpochReport& b,
   EXPECT_EQ(a.unroutedRps, b.unroutedRps);
   EXPECT_EQ(a.unroutedByCause, b.unroutedByCause);
   EXPECT_EQ(a.degradedRoutedRps, b.degradedRoutedRps);
-  EXPECT_EQ(a.downSwitches, b.downSwitches);
-  EXPECT_EQ(a.downServers, b.downServers);
-  EXPECT_EQ(a.orphanedVips, b.orphanedVips);
-  EXPECT_EQ(a.ctrlMessagesDropped, b.ctrlMessagesDropped);
-  EXPECT_EQ(a.ctrlRetransmits, b.ctrlRetransmits);
-  EXPECT_EQ(a.ctrlTimeouts, b.ctrlTimeouts);
-  EXPECT_EQ(a.ctrlInflightCommands, b.ctrlInflightCommands);
-  EXPECT_EQ(a.ctrlPartitionedLinks, b.ctrlPartitionedLinks);
 }
 
 // A multi-app world with three engines observing the *same* stores: a
@@ -73,7 +66,6 @@ struct TriWorld {
   HostFleet hosts;
   std::unique_ptr<ResolverPopulation> resolvers;
   std::unique_ptr<StaticDemand> demand;
-  std::unique_ptr<VipRipManager> viprip;
   std::unique_ptr<FluidEngine> full;
   std::unique_ptr<FluidEngine> inc;
   std::unique_ptr<FluidEngine> par;
@@ -119,17 +111,15 @@ struct TriWorld {
     }
     demand = std::make_unique<StaticDemand>(rates);
     resolvers = std::make_unique<ResolverPopulation>(dns, ResolverConfig{});
-    viprip = std::make_unique<VipRipManager>(sim, fleet, dns, routes, apps,
-                                             topo, VipRipManager::Options{});
     full = std::make_unique<FluidEngine>(sim, topo, apps, dns, *resolvers,
                                          routes, fleet, hosts, *demand,
-                                         *viprip, engineOptions(false, 1));
+                                         engineOptions(false, 1));
     inc = std::make_unique<FluidEngine>(sim, topo, apps, dns, *resolvers,
                                         routes, fleet, hosts, *demand,
-                                        *viprip, engineOptions(true, 1));
+                                        engineOptions(true, 1));
     par = std::make_unique<FluidEngine>(sim, topo, apps, dns, *resolvers,
                                         routes, fleet, hosts, *demand,
-                                        *viprip, engineOptions(true, 3));
+                                        engineOptions(true, 3));
 
     // Wire every app: 1-2 VIPs, each with 1-2 VM RIPs.
     std::uniform_int_distribution<std::uint32_t> srvDist(0, servers - 1);
@@ -270,10 +260,10 @@ TEST(EpochCacheEquivalence, BitIdenticalAcrossWorkerCountsUnderChurn) {
   TriWorld w(32, 16, 6, /*seed=*/0xE15 + 2);
   auto eng2 = std::make_unique<FluidEngine>(
       w.sim, w.topo, w.apps, w.dns, *w.resolvers, w.routes, w.fleet,
-      w.hosts, *w.demand, *w.viprip, engineOptions(true, 2));
+      w.hosts, *w.demand, engineOptions(true, 2));
   auto eng8 = std::make_unique<FluidEngine>(
       w.sim, w.topo, w.apps, w.dns, *w.resolvers, w.routes, w.fleet,
-      w.hosts, *w.demand, *w.viprip, engineOptions(true, 8));
+      w.hosts, *w.demand, engineOptions(true, 8));
   ASSERT_EQ(eng2->workerCount(), 2u);
   ASSERT_EQ(eng8->workerCount(), 8u);
 
@@ -313,7 +303,6 @@ struct SmallWorld {
   HostFleet hosts;
   std::unique_ptr<ResolverPopulation> resolvers;
   std::unique_ptr<StaticDemand> demand;
-  std::unique_ptr<VipRipManager> viprip;
   std::unique_ptr<FluidEngine> engine;
   AppId app;
   VmId vm;
@@ -337,11 +326,9 @@ struct SmallWorld {
     dns.registerApp(app);
     resolvers = std::make_unique<ResolverPopulation>(dns, ResolverConfig{});
     demand = std::make_unique<StaticDemand>(std::vector<double>{appRps});
-    viprip = std::make_unique<VipRipManager>(sim, fleet, dns, routes, apps,
-                                             topo, VipRipManager::Options{});
     engine = std::make_unique<FluidEngine>(sim, topo, apps, dns, *resolvers,
                                            routes, fleet, hosts, *demand,
-                                           *viprip, engineOptions(true, 1));
+                                           engineOptions(true, 1));
     const auto v =
         hosts.createVm(app, ServerId{0},
                        apps.app(app).sla.sliceFor(2.0 * appRps, 1.0));
@@ -463,7 +450,7 @@ TEST(EpochCache, FullRecomputeFallbackKnob) {
   // Swap in a full-recompute engine over the same world.
   auto fullEngine = std::make_unique<FluidEngine>(
       w.sim, w.topo, w.apps, w.dns, *w.resolvers, w.routes, w.fleet,
-      w.hosts, *w.demand, *w.viprip, engineOptions(false, 1));
+      w.hosts, *w.demand, engineOptions(false, 1));
   w.sim.runUntil(w.sim.now() + 1.0);
   const EpochReport inc = w.engine->step();
   const EpochReport full = fullEngine->step();

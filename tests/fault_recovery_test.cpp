@@ -75,6 +75,27 @@ TEST(FaultRecovery, SwitchCrashOrphansRehostedWithinBound) {
   EXPECT_GT(dc.health->unavailabilityRpsSeconds(), 0.0);  // blackout cost
 }
 
+TEST(FaultRecovery, TeardownWithPendingVipRestoreIsSafe) {
+  // Destroying the world tears the manager down as a crash, which
+  // completes every queued or in-flight RestoreVip with "cancelled"; the
+  // health monitor's callbacks must find the monitor still alive.  A slow
+  // control channel keeps the restore commands in flight at teardown.
+  MegaDcConfig cfg = testScaleConfig();
+  cfg.ctrlFaults.delaySeconds = 2.0;
+  MegaDc dc{cfg};
+  dc.bootstrap();
+  dc.runUntil(100.0);
+  dc.faults->crashSwitch(SwitchId{0}, 100.5);  // never repaired
+  const CommandSender& sender = dc.manager->viprip().ctrlSender();
+  while ((dc.health->pendingVipRestores() == 0 || sender.inflight() == 0) &&
+         dc.sim.now() < 200.0) {
+    dc.runUntil(dc.sim.now() + 0.05);
+  }
+  ASSERT_GT(dc.health->pendingVipRestores(), 0u);
+  ASSERT_GT(sender.inflight(), 0u);
+  // ~MegaDc runs here, with the restores still pending.
+}
+
 TEST(FaultRecovery, ServerCrashPurgesDeadVmsAndHeals) {
   MegaDc dc{testScaleConfig()};
   dc.bootstrap();

@@ -160,7 +160,7 @@ TEST_P(NetworkPropertyTest, AllocationInvariants) {
   Network net;
   const std::size_t nLinks = 3 + rng.uniformInt(6);
   for (std::size_t i = 0; i < nLinks; ++i) {
-    net.addLink("l" + std::to_string(i), rng.uniform(0.5, 20.0));
+    net.addLink(std::string{"l"} + std::to_string(i), rng.uniform(0.5, 20.0));
   }
   std::vector<Flow> flows;
   const std::size_t nFlows = 1 + rng.uniformInt(20);

@@ -72,8 +72,9 @@ TEST(TraceRing, BeforeWrapNothingIsLost) {
 
 TEST(TraceRing, EventCodeTruncatesSafely) {
   TraceEvent e;
-  e.setCode("a_status_code_longer_than_fifteen_chars");
-  EXPECT_EQ(std::string(e.code), "a_status_code_l");
+  const std::string tooLong(2 * sizeof(e.code), 'x');
+  e.setCode(tooLong.c_str());
+  EXPECT_EQ(std::string(e.code), tooLong.substr(0, sizeof(e.code) - 1));
   e.setCode(nullptr);
   EXPECT_EQ(std::string(e.code), "");
 }
@@ -428,8 +429,18 @@ TEST(Obs, RegistryMatchesEpochReportGaugesOverFiftyEpochs) {
   MegaDcConfig cfg = testScaleConfig();
   cfg.ctrlFaults.dropRate = 0.1;  // keep the control counters moving
   cfg.ctrlFaults.delaySeconds = 0.02;
+  cfg.enableSessionEngine = true;
+  cfg.manager.failover.enable = true;
   MegaDc dc{cfg};
   dc.bootstrap();
+  FaultInjector::RandomPlan plan;
+  plan.start = dc.sim.now() + 5.0;
+  plan.end = dc.sim.now() + 60.0;
+  plan.switchCrashes = 1;
+  plan.serverCrashes = 2;
+  plan.globalManagerCrashes = 1;
+  plan.repairAfter = 20.0;
+  dc.faults->schedulePlan(plan);
 
   const SimTime epoch = cfg.engine.epoch;
   for (int e = 0; e < 50; ++e) {
@@ -438,46 +449,17 @@ TEST(Obs, RegistryMatchesEpochReportGaugesOverFiftyEpochs) {
     // snapshot and the registry reads below, so the comparison is exact.
     const EpochReport r = dc.engine->step();
     const MetricsRegistry& m = dc.metrics;
-    EXPECT_DOUBLE_EQ(m.value("mdc.ctrl.messages_dropped"),
-                     static_cast<double>(r.ctrlMessagesDropped));
-    EXPECT_DOUBLE_EQ(m.value("mdc.ctrl.retransmits"),
-                     static_cast<double>(r.ctrlRetransmits));
-    EXPECT_DOUBLE_EQ(m.value("mdc.ctrl.timeouts"),
-                     static_cast<double>(r.ctrlTimeouts));
-    EXPECT_DOUBLE_EQ(m.value("mdc.ctrl.partitioned_links"),
-                     static_cast<double>(r.ctrlPartitionedLinks));
-    EXPECT_DOUBLE_EQ(m.value("mdc.ctrl.stale_term_rejections"),
-                     static_cast<double>(r.ctrlStaleTermRejections));
-    EXPECT_DOUBLE_EQ(m.value("mdc.ctrl.cancelled_commands"),
-                     static_cast<double>(r.ctrlCancelledCommands));
-    EXPECT_DOUBLE_EQ(m.value("mdc.reconciler.divergence_last_round"),
-                     static_cast<double>(r.ctrlDriftLastAudit));
-    EXPECT_DOUBLE_EQ(m.value("mdc.reconciler.repairs_issued"),
-                     static_cast<double>(r.ctrlRepairsIssued));
-    EXPECT_DOUBLE_EQ(m.value("mdc.manager.term"),
-                     static_cast<double>(r.managerTerm));
-    EXPECT_DOUBLE_EQ(m.value("mdc.manager.leader_up"),
-                     r.managerLeaderUp ? 1.0 : 0.0);
-    EXPECT_DOUBLE_EQ(m.value("mdc.manager.alive_instances"),
-                     static_cast<double>(r.managerAlive));
-    EXPECT_DOUBLE_EQ(m.value("mdc.manager.failovers"),
-                     static_cast<double>(r.managerFailovers));
-    EXPECT_DOUBLE_EQ(m.value("mdc.manager.pod_restarts"),
-                     static_cast<double>(r.podManagerRestarts));
-    EXPECT_DOUBLE_EQ(m.value("mdc.fault.injected"),
-                     static_cast<double>(r.faultsInjected));
-    EXPECT_DOUBLE_EQ(m.value("mdc.fault.repairs_applied"),
-                     static_cast<double>(r.faultRepairsApplied));
-    EXPECT_DOUBLE_EQ(m.value("mdc.fleet.down_switches"),
-                     static_cast<double>(r.downSwitches));
-    EXPECT_DOUBLE_EQ(m.value("mdc.hosts.down_servers"),
-                     static_cast<double>(r.downServers));
-    EXPECT_DOUBLE_EQ(m.value("mdc.fleet.orphaned_vips"),
-                     static_cast<double>(r.orphanedVips));
+#define MDC_EXPECT_GAUGE(field, type, wire, init, metric, source) \
+  EXPECT_DOUBLE_EQ(m.value(metric), static_cast<double>(r.field)) << metric;
+    MDC_EPOCH_REPORT_GAUGES(MDC_EPOCH_REPORT_SKIP, MDC_EXPECT_GAUGE)
+#undef MDC_EXPECT_GAUGE
   }
-  // The registry's control counters saw real traffic, not all zeros.
+  // The registry saw real traffic, faults and a failover, not all zeros.
   EXPECT_GT(dc.metrics.value("mdc.ctrl.messages_sent"), 0.0);
   EXPECT_GT(dc.metrics.value("mdc.ctrl.retransmits"), 0.0);
+  EXPECT_GT(dc.metrics.value("mdc.fault.injected"), 0.0);
+  EXPECT_GT(dc.metrics.value("mdc.manager.term"), 1.0);
+  EXPECT_GT(dc.metrics.value("mdc.session.arrivals"), 0.0);
 }
 
 TEST(Obs, RegistrySurvivesDemandModelSwap) {

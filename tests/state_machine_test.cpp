@@ -438,14 +438,18 @@ TEST(IntentJournalDurability, ResyncAfterTruncationDropsDeadRecords) {
   IntentJournal journal;
   for (std::uint32_t v = 1; v <= 4; ++v) journal.append(addVip(v));
   journal.appendTermChange(7);
-  ASSERT_EQ(journal.size(), 4u);  // term changes are not intent records
+  // Five durable records, but term changes are not intent records.
+  ASSERT_EQ(journal.changelog().size(), 5u);
+  ASSERT_EQ(journal.replay().vipCount(), 4u);
+  ASSERT_EQ(journal.lastTerm(), 7u);
 
   ASSERT_TRUE(journal.changelog().tearTail(/*entropy=*/9));
   journal.changelog().truncateToValidPrefix();
   journal.resyncFromDurable();
-  // The term record was the torn tail: the cache keeps all four intent
-  // records but the journaled term is gone.
-  EXPECT_EQ(journal.size(), 4u);
+  // The term record was the torn tail: all four intent records survive
+  // but the journaled term is gone.
+  EXPECT_EQ(journal.changelog().size(), 4u);
+  EXPECT_EQ(journal.replay().vipCount(), 4u);
   EXPECT_EQ(journal.lastTerm(), 0u);
 }
 
@@ -630,6 +634,80 @@ TEST(EpochReportCodec, EncodeDecodeHashRoundtrip) {
   EpochReport changed = rep;
   changed.stateReplayedRecords = 10;
   EXPECT_NE(hashEpochReport(changed), hashEpochReport(rep));
+}
+
+// Golden guard for the wire format: every field set to a distinct
+// non-default value, so a reordered, retyped, dropped or swapped field
+// changes the bytes.  The pinned hash was taken from the hand-written
+// codec; any refactor of the codec must reproduce it.
+TEST(EpochReportCodec, GoldenHashWithEveryFieldSet) {
+  EpochReport rep;
+  rep.time = 82.5;
+  rep.accessLinkUtil = {0.25, 0.5};
+  rep.switchUtil = {0.75, 1.25, 0.125};
+  rep.appDemandRps[AppId{1}] = 1000.0;
+  rep.appDemandRps[AppId{4}] = 400.0;
+  rep.appServedRps[AppId{1}] = 990.0;
+  rep.vipDemandGbps[VipId{3}] = 1.5;
+  rep.externalOfferedGbps = 2.5;
+  rep.externalServedGbps = 2.25;
+  rep.unroutedRps = 10.0;
+  rep.unroutedByCause["dead_vm"] = 4.0;
+  rep.unroutedByCause["no_dns"] = 6.0;
+  rep.degradedRoutedRps = 3.5;
+  rep.engineAppsRecomputed = 11;
+  rep.engineAppsCached = 12;
+  rep.downSwitches = 13;
+  rep.downServers = 14;
+  rep.orphanedVips = 15;
+  rep.ctrlMessagesDropped = 16;
+  rep.ctrlRetransmits = 17;
+  rep.ctrlTimeouts = 18;
+  rep.ctrlInflightCommands = 19;
+  rep.ctrlPartitionedLinks = 20;
+  rep.ctrlDriftLastAudit = 21;
+  rep.ctrlRepairsIssued = 22;
+  rep.managerTerm = 23;
+  rep.managerLeaderUp = false;
+  rep.managerAlive = 24;
+  rep.managerFailovers = 25;
+  rep.podManagerRestarts = 26;
+  rep.ctrlStaleTermRejections = 27;
+  rep.ctrlCancelledCommands = 28;
+  rep.faultPlanSeed = (std::uint64_t{1} << 53) + 29;  // not a double
+  rep.faultsInjected = 30;
+  rep.faultRepairsApplied = 31;
+  rep.stateChangelogRecords = 32;
+  rep.stateSnapshotsTaken = 33;
+  rep.stateRecordsSinceSnapshot = 34;
+  rep.stateRecoveries = 35;
+  rep.stateReplayedRecords = 36;
+  rep.stateTruncatedBytes = 37;
+  rep.stateSnapshotsRejected = 38;
+  rep.stateCompactedRecords = 39;
+  rep.sessionArrivals = 40;
+  rep.sessionActive = 41;
+  rep.sessionCompleted = 42;
+  rep.sessionBroken = 43;
+  rep.sessionRejected = 44;
+  rep.sessionDrainsCompleted = 45;
+  rep.sessionDrainP99Seconds = 46.5;
+
+  EXPECT_EQ(hashEpochReport(rep), 12156063936487718876u);
+
+  // Round trip.  With all values distinct, re-encoding the decoded report
+  // to the same bytes shows every field came back into its own slot.
+  ByteWriter w;
+  encodeEpochReport(rep, w);
+  ByteReader r{w.bytes()};
+  const EpochReport back = decodeEpochReport(r);
+  EXPECT_TRUE(r.exhausted());
+  ByteWriter again;
+  encodeEpochReport(back, again);
+  EXPECT_EQ(again.bytes(), w.bytes());
+  EXPECT_EQ(back.faultPlanSeed, (std::uint64_t{1} << 53) + 29);
+  EXPECT_FALSE(back.managerLeaderUp);
+  EXPECT_EQ(back.unroutedByCause.at("no_dns"), 6.0);
 }
 
 }  // namespace
