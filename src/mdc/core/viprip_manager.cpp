@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -92,7 +91,6 @@ VipRipManager::VipRipManager(Simulation& sim, SwitchFleet& fleet,
       machine_(journal_.changelog(), state::DurableStateMachine::Options{}),
       admission_(admissionOptionsFor(options)) {
   MDC_EXPECT(options.processSeconds >= 0.0, "negative process time");
-  routerVipCount_.assign(topo.accessLinkCount(), 0);
   setupStateMachine();
   // Balancers move VIPs directly (SwitchFleet::transferVip); the journal
   // learns those placements here so intent tracks reality synchronously.
@@ -249,26 +247,21 @@ void VipRipManager::computeFootprint(const VipRipRequest& req,
       break;
     case VipRipOp::DeleteRip: {
       fp.write(K::Vm, req.vm.index());
-      const auto it = vmRips_.find(req.vm);
-      if (it != vmRips_.end()) {
-        for (const RipRef& ref : it->second) {
-          fp.write(K::Vip, ref.vip.index());
-          const VipIntent* in = intent_.find(ref.vip);
-          // The refill path reads the app's instance list.
-          if (in != nullptr) fp.read(K::App, in->app.index());
-        }
+      for (const RipRef& ref : intent_.ripsOf(req.vm)) {
+        fp.write(K::Vip, ref.vip.index());
+        // The refill path reads the app's instance list.
+        fp.read(K::App, intent_.find(ref.vip)->app.index());
       }
       break;
     }
     case VipRipOp::SetWeight: {
       fp.write(K::Vm, req.vm.index());
-      const auto it = vmRips_.find(req.vm);
-      if (it != vmRips_.end()) {
-        // Weight changes on distinct RIPs of a shared VIP commute (each
-        // recomputes the VIP's DNS weight from the full intent), so the
-        // bound VIPs are read keys: SetWeights batch with each other but
-        // serialize against DeleteVip/RestoreVip on the same VIP.
-        for (const RipRef& ref : it->second) fp.read(K::Vip, ref.vip.index());
+      // Weight changes on distinct RIPs of a shared VIP commute (each
+      // recomputes the VIP's DNS weight from the full intent), so the
+      // bound VIPs are read keys: SetWeights batch with each other but
+      // serialize against DeleteVip/RestoreVip on the same VIP.
+      for (const RipRef& ref : intent_.ripsOf(req.vm)) {
+        fp.read(K::Vip, ref.vip.index());
       }
       break;
     }
@@ -319,63 +312,59 @@ void VipRipManager::pump() {
   // Only the manager's *decision* is serialized (§III-C) — one bounded
   // round cost, amortized over the batch; the switch-side programmatic
   // reconfigurations of the whole batch then proceed on their target
-  // switches while the manager forms the next round.
-  sim_.after(options_.processSeconds, [this,
-                                       batch = std::move(round.batch)]()
-                                          mutable {
-    if (!online_) {
-      // The manager died while "thinking" about this round.
-      for (AdmissionController::Entry& e : batch) cancelPending(std::move(e));
-      pumping_ = false;
-      return;
-    }
-    SimTime reconfig = options_.reconfigSeconds;
-    if (reconfig < 0.0) {
-      // Every switch in the fleet shares one limits profile in practice;
-      // use the first switch's value (3 s by default).
-      reconfig =
-          fleet_.size() > 0 ? fleet_.at(SwitchId{0}).limits().reconfigSeconds
-                            : 0.0;
-    }
-    sim_.after(reconfig, [this, batch = std::move(batch)]() mutable {
-      if (!online_) {
-        for (AdmissionController::Entry& e : batch) {
-          cancelPending(std::move(e));
-        }
-        return;
+  // switches while the manager forms the next round.  The batch waits in
+  // staged_; a crash() settles it there, so a timer whose round is gone
+  // belongs to a dead process and commits nothing.
+  const std::uint64_t id = nextRoundId_++;
+  staged_.emplace(id, std::move(round.batch));
+  sim_.after(options_.processSeconds, [this, id] {
+    if (staged_.contains(id)) {
+      SimTime reconfig = options_.reconfigSeconds;
+      if (reconfig < 0.0) {
+        // Every switch in the fleet shares one limits profile in
+        // practice; use the first switch's value (3 s by default).
+        reconfig = fleet_.size() > 0
+                       ? fleet_.at(SwitchId{0}).limits().reconfigSeconds
+                       : 0.0;
       }
-      // Commit the batch in admission order (priority desc, FIFO ties) —
-      // the same order the fully serialized seed would have applied, so
-      // the intent mutation history is identical for conflicting work.
-      for (AdmissionController::Entry& p : batch) {
-        // The guard travels through every asynchronous command flow; no
-        // matter which path settles the request — ack, rejection, channel
-        // timeout, or a dropped continuation — the accounting and the
-        // submitter's callback run exactly once.
-        DoneGuard done(
-            [this, submitted = p.submitted, trace = p.req.trace,
-             span = p.req.traceSpan, user = std::move(p.req.done)](Status s) {
-              ++processed_;
-              if (!s.ok()) {
-                ++rejected_;
-                ++rejectionsByCode_[s.error().code];
-              }
-              latency_.record(std::max(1e-3, sim_.now() - submitted));
-              if (tracer_ != nullptr) {
-                tracer_->record(trace, span, 0, HopKind::RequestDone,
-                                s.ok() ? "ok" : s.error().code.c_str());
-              }
-              if (user) user(std::move(s));
-            });
-        if (tracer_ != nullptr) {
-          tracer_->record(p.req.trace, p.req.traceSpan, 0,
-                          HopKind::RequestApplied, opName(p.req.op));
-        }
-        apply(p.req, std::move(done));
-      }
-    });
+      sim_.after(reconfig, [this, id] { commitRound(id); });
+    }
     pump();
   });
+}
+
+void VipRipManager::commitRound(std::uint64_t id) {
+  auto staged = staged_.extract(id);
+  if (staged.empty()) return;
+  // Commit the batch in admission order (priority desc, FIFO ties) — the
+  // same order the fully serialized seed would have applied, so the
+  // intent mutation history is identical for conflicting work.
+  for (AdmissionController::Entry& p : staged.mapped()) {
+    // The guard travels through every asynchronous command flow; no
+    // matter which path settles the request — ack, rejection, channel
+    // timeout, or a dropped continuation — the accounting and the
+    // submitter's callback run exactly once.
+    DoneGuard done([this, submitted = p.submitted, trace = p.req.trace,
+                    span = p.req.traceSpan,
+                    user = std::move(p.req.done)](Status s) {
+      ++processed_;
+      if (!s.ok()) {
+        ++rejected_;
+        ++rejectionsByCode_[s.error().code];
+      }
+      latency_.record(std::max(1e-3, sim_.now() - submitted));
+      if (tracer_ != nullptr) {
+        tracer_->record(trace, span, 0, HopKind::RequestDone,
+                        s.ok() ? "ok" : s.error().code.c_str());
+      }
+      if (user) user(std::move(s));
+    });
+    if (tracer_ != nullptr) {
+      tracer_->record(p.req.trace, p.req.traceSpan, 0,
+                      HopKind::RequestApplied, opName(p.req.op));
+    }
+    apply(p.req, std::move(done));
+  }
 }
 
 void VipRipManager::apply(const VipRipRequest& req, DoneGuard done) {
@@ -423,12 +412,13 @@ std::optional<SwitchId> VipRipManager::pickSwitchForVip(VipId ignoring) const {
 }
 
 AccessRouterId VipRipManager::pickAccessRouter() const {
-  MDC_EXPECT(!routerVipCount_.empty(), "no access routers");
-  std::uint32_t best = 0;
-  for (std::uint32_t i = 1; i < routerVipCount_.size(); ++i) {
-    if (routerVipCount_[i] < routerVipCount_[best]) best = i;
+  MDC_EXPECT(topo_.accessLinkCount() > 0, "no access routers");
+  AccessRouterId best{0};
+  for (std::uint32_t i = 1; i < topo_.accessLinkCount(); ++i) {
+    const AccessRouterId ar{i};
+    if (intent_.vipsAt(ar) < intent_.vipsAt(best)) best = ar;
   }
-  return AccessRouterId{best};
+  return best;
 }
 
 void VipRipManager::applyNewVip(const VipRipRequest& req, DoneGuard done) {
@@ -454,8 +444,6 @@ void VipRipManager::applyNewVip(const VipRipRequest& req, DoneGuard done) {
 
   // Selective exposure: advertise at (typically) exactly one router.
   routes_.advertise(vip, ar, sim_.now());
-  vipRouter_.emplace(vip, ar);
-  ++routerVipCount_[ar.index()];
 
   SwitchCommand cmd;
   cmd.kind = CmdKind::ConfigureVip;
@@ -477,8 +465,6 @@ void VipRipManager::applyNewVip(const VipRipRequest& req, DoneGuard done) {
                  apps_.removeVip(app, vip);
                  dns_.removeVip(app, vip);
                  routes_.withdraw(vip, ar, sim_.now());
-                 vipRouter_.erase(vip);
-                 --routerVipCount_[ar.index()];
                  IntentRecord undo;
                  undo.op = IntentOp::RemoveVip;
                  undo.vip = vip;
@@ -519,30 +505,32 @@ void VipRipManager::applyNewRip(const VipRipRequest& req, DoneGuard done) {
     }
   }
   if (!bestVip.valid()) return done.fire(Status::fail("no_rip_capacity"));
-  const SwitchId target = intent_.find(bestVip)->sw;
+  bindRip(bestVip, req.vm, req.weight, req.trace, req.traceSpan,
+          std::move(done));
+}
 
+void VipRipManager::bindRip(VipId vip, VmId vm, double weight, TraceId trace,
+                            SpanId parentSpan, DoneGuard done) {
   RipEntry entry;
   entry.rip = ripIds_.next();
-  entry.vm = req.vm;
-  entry.weight = req.weight;
+  entry.vm = vm;
+  entry.weight = weight;
   IntentRecord rec;
   rec.op = IntentOp::AddRip;
-  rec.vip = bestVip;
+  rec.vip = vip;
   rec.rip = entry;
   intend(rec);
-  vmRips_[req.vm].push_back(RipRef{bestVip, entry.rip});
 
   SwitchCommand cmd;
   cmd.kind = CmdKind::AddRip;
-  cmd.vip = bestVip;
+  cmd.vip = vip;
   cmd.rip = entry;
-  cmd.trace = req.trace;
-  cmd.parentSpan = req.traceSpan;
-  sender_.send(target, cmd,
-               [this, vip = bestVip, vm = req.vm, rip = entry.rip,
-                done](Status s) mutable {
+  cmd.trace = trace;
+  cmd.parentSpan = parentSpan;
+  sender_.send(intent_.find(vip)->sw, cmd,
+               [this, vip, rip = entry.rip, done](Status s) mutable {
                  if (!s.ok()) {
-                   if (!isCancelled(s)) dropRipIntent(vip, rip, vm);
+                   if (!isCancelled(s)) dropRipIntent(vip, rip);
                    return done.fire(std::move(s));
                  }
                  syncVipDnsWeight(vip);
@@ -580,19 +568,11 @@ void VipRipManager::applyDeleteVip(const VipRipRequest& req, DoneGuard done) {
   if (in == nullptr) return done.fire(Status::fail("vip_unowned"));
   const AppId app = in->app;
   const SwitchId sw = in->sw;
+  const AccessRouterId router = in->router;
   if (fleet_.at(sw).up() && fleet_.at(sw).activeConnections(req.vip) > 0) {
     return done.fire(Status::fail("vip_has_connections"));
   }
 
-  // Detach RIP bookkeeping (from intent: the authoritative RIP set).
-  for (const RipEntry& r : in->rips) {
-    if (!r.vm.valid()) continue;
-    const auto refs = vmRips_.find(r.vm);
-    if (refs == vmRips_.end()) continue;
-    std::erase_if(refs->second,
-                  [&](const RipRef& ref) { return ref.vip == req.vip; });
-    if (refs->second.empty()) vmRips_.erase(refs);
-  }
   IntentRecord rec;
   rec.op = IntentOp::RemoveVip;
   rec.vip = req.vip;
@@ -601,12 +581,7 @@ void VipRipManager::applyDeleteVip(const VipRipRequest& req, DoneGuard done) {
   apps_.removeVip(app, req.vip);
   dns_.removeVip(app, req.vip);
   exposureFactor_.erase(req.vip);
-  const auto ar = vipRouter_.find(req.vip);
-  if (ar != vipRouter_.end()) {
-    routes_.withdraw(req.vip, ar->second, sim_.now());
-    --routerVipCount_[ar->second.index()];
-    vipRouter_.erase(ar);
-  }
+  if (router.valid()) routes_.withdraw(req.vip, router, sim_.now());
 
   SwitchCommand cmd;
   cmd.kind = CmdKind::RemoveVip;
@@ -626,25 +601,19 @@ void VipRipManager::applyDeleteVip(const VipRipRequest& req, DoneGuard done) {
 
 void VipRipManager::applyDeleteRip(const VipRipRequest& req, DoneGuard done) {
   MDC_EXPECT(req.vm.valid(), "DeleteRip needs a vm");
-  const auto it = vmRips_.find(req.vm);
-  if (it == vmRips_.end() || it->second.empty()) {
+  // A copy: the loop below removes these refs from the store.
+  const std::span<const RipRef> bound = intent_.ripsOf(req.vm);
+  const std::vector<RipRef> refs(bound.begin(), bound.end());
+  if (refs.empty()) {
     return done.fire(Status::okStatus());  // idempotent: nothing bound
   }
-  const std::vector<RipRef> refs = std::move(it->second);
-  vmRips_.erase(it);
-  // Removal is best effort per ref: a VIP deleted or moved meanwhile must
-  // not leak the remaining refs, so the joined outcome stays ok.
+  // Removal is best effort per ref, so the joined outcome stays ok.
   const auto barrier = std::make_shared<CmdBarrier>(std::move(done), true);
   for (const RipRef& ref : refs) {
     const VipIntent* in = intent_.find(ref.vip);
-    if (in == nullptr || in->findRip(ref.rip) == nullptr) continue;
     const SwitchId sw = in->sw;
     const AppId app = in->app;
-    IntentRecord rec;
-    rec.op = IntentOp::RemoveRip;
-    rec.vip = ref.vip;
-    rec.rip.rip = ref.rip;
-    intend(rec);
+    dropRipIntent(ref.vip, ref.rip);
     const bool nowEmpty = intent_.find(ref.vip)->rips.empty();
     SwitchCommand cmd;
     cmd.kind = CmdKind::RemoveRip;
@@ -680,77 +649,40 @@ bool VipRipManager::refillVip(VipId vip, AppId app, VmId excluding,
   for (VmId vm : apps_.app(app).instances) {
     if (vm == excluding) continue;
     if (vmAlive_ && !vmAlive_(vm)) continue;
-    const auto existing = vmRips_.find(vm);
     // Reuse the VM's current intended weight so traffic shares stay
     // consistent.
-    double weight = 1.0;
-    if (existing != vmRips_.end() && !existing->second.empty()) {
-      const VipIntent* other = intent_.find(existing->second.front().vip);
-      if (other != nullptr) {
-        const RipEntry* r = other->findRip(existing->second.front().rip);
-        if (r != nullptr) weight = r->weight;
-      }
-    }
-    RipEntry entry;
-    entry.rip = ripIds_.next();
-    entry.vm = vm;
-    entry.weight = weight;
-    IntentRecord rec;
-    rec.op = IntentOp::AddRip;
-    rec.vip = vip;
-    rec.rip = entry;
-    intend(rec);
-    vmRips_[vm].push_back(RipRef{vip, entry.rip});
-    SwitchCommand cmd;
-    cmd.kind = CmdKind::AddRip;
-    cmd.vip = vip;
-    cmd.rip = entry;
-    cmd.trace = trace;
-    cmd.parentSpan = parentSpan;
-    sender_.send(sw, cmd, [this, vip, vm, rip = entry.rip](Status s) {
-      if (!s.ok()) {
-        if (!isCancelled(s)) dropRipIntent(vip, rip, vm);
-        return;
-      }
-      syncVipDnsWeight(vip);
-    });
+    const std::span<const RipRef> existing = intent_.ripsOf(vm);
+    const double weight =
+        existing.empty() ? 1.0
+                         : intent_.find(existing.front().vip)
+                               ->findRip(existing.front().rip)
+                               ->weight;
+    bindRip(vip, vm, weight, trace, parentSpan, DoneGuard{});
     return true;
   }
   return false;
 }
 
-void VipRipManager::dropRipIntent(VipId vip, RipId rip, VmId vm) {
-  if (intent_.find(vip) != nullptr) {
-    IntentRecord rec;
-    rec.op = IntentOp::RemoveRip;
-    rec.vip = vip;
-    rec.rip.rip = rip;
-    intend(rec);
-  }
-  if (!vm.valid()) return;
-  const auto it = vmRips_.find(vm);
-  if (it == vmRips_.end()) return;
-  std::erase_if(it->second, [&](const RipRef& ref) {
-    return ref.vip == vip && ref.rip == rip;
-  });
-  if (it->second.empty()) vmRips_.erase(it);
+void VipRipManager::dropRipIntent(VipId vip, RipId rip) {
+  if (intent_.find(vip) == nullptr) return;
+  IntentRecord rec;
+  rec.op = IntentOp::RemoveRip;
+  rec.vip = vip;
+  rec.rip.rip = rip;
+  intend(rec);
 }
 
 void VipRipManager::applySetWeight(const VipRipRequest& req, DoneGuard done) {
   MDC_EXPECT(req.vm.valid(), "SetWeight needs a vm");
-  const auto it = vmRips_.find(req.vm);
-  if (it == vmRips_.end() || it->second.empty()) {
-    return done.fire(Status::fail("vm_has_no_rips"));
-  }
+  const std::span<const RipRef> refs = intent_.ripsOf(req.vm);
+  if (refs.empty()) return done.fire(Status::fail("vm_has_no_rips"));
   if (req.weight < 0.0) return done.fire(Status::fail("bad_weight"));
   // `weight` is the VM's total serving weight; split it across the VM's
   // RIPs so a VM reachable through k VIPs is not handed k shares.
-  const double perRip =
-      req.weight / static_cast<double>(it->second.size());
+  const double perRip = req.weight / static_cast<double>(refs.size());
   const auto barrier = std::make_shared<CmdBarrier>(std::move(done), false);
-  for (const RipRef& ref : it->second) {
+  for (const RipRef& ref : refs) {
     const VipIntent* in = intent_.find(ref.vip);
-    if (in == nullptr || in->findRip(ref.rip) == nullptr) continue;
     IntentRecord rec;
     rec.op = IntentOp::SetRipWeight;
     rec.vip = ref.vip;
@@ -787,34 +719,23 @@ void VipRipManager::applyRestoreVip(const VipRipRequest& req, DoneGuard done) {
   const std::optional<SwitchId> sw = pickSwitchForVip(req.vip);
   if (!sw.has_value()) return done.fire(Status::fail("vip_table_full"));
 
-  // The orphan's RIP set, minus entries whose VM died with the switch —
-  // their bookkeeping refs leave too, or later weight updates would chase
-  // a ghost.
+  // The orphan's RIP set, minus entries whose VM died with the switch
+  // (the squaring below drops them from intent, or later weight updates
+  // would chase a ghost).
   std::vector<RipEntry> desired;
   for (const RipEntry& r : req.rips) {
-    if (r.targetsVm() && vmAlive_ && !vmAlive_(r.vm)) {
-      const auto refs = vmRips_.find(r.vm);
-      if (refs != vmRips_.end()) {
-        std::erase_if(refs->second, [&](const RipRef& ref) {
-          return ref.vip == req.vip && ref.rip == r.rip;
-        });
-        if (refs->second.empty()) vmRips_.erase(refs);
-      }
-      continue;
-    }
+    if (r.targetsVm() && vmAlive_ && !vmAlive_(r.vm)) continue;
     desired.push_back(r);
   }
 
   // Point the intent at the new home; a VIP this manager has no record of
-  // (a journal predating it) is adopted fresh.
+  // (a journal predating it) is adopted fresh, with no route.
   if (intent_.find(req.vip) == nullptr) {
     IntentRecord rec;
     rec.op = IntentOp::AddVip;
     rec.vip = req.vip;
     rec.app = req.app;
     rec.sw = *sw;
-    const auto ar = vipRouter_.find(req.vip);
-    rec.router = ar != vipRouter_.end() ? ar->second : AccessRouterId{};
     intend(rec);
   } else {
     IntentRecord rec;
@@ -832,13 +753,7 @@ void VipRipManager::applyRestoreVip(const VipRipRequest& req, DoneGuard done) {
   for (const RipEntry& r : cur->rips) {
     if (!want.contains(r.rip)) toDrop.push_back(r.rip);
   }
-  for (RipId rip : toDrop) {
-    IntentRecord rec;
-    rec.op = IntentOp::RemoveRip;
-    rec.vip = req.vip;
-    rec.rip.rip = rip;
-    intend(rec);
-  }
+  for (RipId rip : toDrop) dropRipIntent(req.vip, rip);
   for (const RipEntry& r : desired) {
     if (intent_.find(req.vip)->findRip(r.rip) != nullptr) continue;
     IntentRecord rec;
@@ -846,14 +761,6 @@ void VipRipManager::applyRestoreVip(const VipRipRequest& req, DoneGuard done) {
     rec.vip = req.vip;
     rec.rip = r;
     intend(rec);
-    if (r.targetsVm()) {
-      auto& refs = vmRips_[r.vm];
-      const bool known = std::any_of(
-          refs.begin(), refs.end(), [&](const RipRef& ref) {
-            return ref.vip == req.vip && ref.rip == r.rip;
-          });
-      if (!known) refs.push_back(RipRef{req.vip, r.rip});
-    }
   }
 
   SwitchCommand cfg;
@@ -901,9 +808,7 @@ void VipRipManager::applyRestoreVip(const VipRipRequest& req, DoneGuard done) {
           cmd.parentSpan = span;
           barrier->add();
           sender_.send(target, cmd, [this, vip, r, barrier](Status rs) {
-            if (!rs.ok() && !isCancelled(rs)) {
-              dropRipIntent(vip, r.rip, r.targetsVm() ? r.vm : VmId{});
-            }
+            if (!rs.ok() && !isCancelled(rs)) dropRipIntent(vip, r.rip);
             barrier->complete(rs);
           });
         }
@@ -957,12 +862,17 @@ void VipRipManager::adoptRipWeight(VipId vip, RipId rip, double actual) {
 
 void VipRipManager::crash() {
   online_ = false;
-  // Queued requests die with the process; each submitter's callback sees
-  // Cancelled exactly once.  Drain before cancelling the sender: a
-  // cancellation callback that reentrantly submits must find the queue
-  // closed ("manager_down"), not append to a dead manager's queue.
-  std::vector<AdmissionController::Entry> doomed = admission_.drain();
-  for (AdmissionController::Entry& p : doomed) cancelPending(std::move(p));
+  // Staged and queued requests die with the process; each submitter's
+  // callback sees Cancelled exactly once, in admission order.  Take both
+  // before cancelling anything: a cancellation callback that reentrantly
+  // submits must find the queue closed ("manager_down"), not append to a
+  // dead manager's queue.
+  auto staged = std::exchange(staged_, {});
+  std::vector<AdmissionController::Entry> queued = admission_.drain();
+  for (auto& [id, batch] : staged) {
+    for (AdmissionController::Entry& p : batch) cancelPending(std::move(p));
+  }
+  for (AdmissionController::Entry& p : queued) cancelPending(std::move(p));
   sender_.cancelInflight();
 }
 
@@ -1009,30 +919,7 @@ void VipRipManager::setupStateMachine() {
     // The intent store is rebuilt through the same apply() the live
     // path and replay use, so snapshot-install can never diverge from
     // a from-scratch replay of the same state.
-    const std::uint64_t nVips = r.u64();
-    for (std::uint64_t i = 0; i < nVips; ++i) {
-      IntentRecord add;
-      add.op = IntentOp::AddVip;
-      add.vip = r.id<VipId>();
-      add.app = r.id<AppId>();
-      add.sw = r.id<SwitchId>();
-      add.router = r.id<AccessRouterId>();
-      const std::uint64_t nRips = r.u64();
-      if (!r.ok() || !intent_.canApply(add)) return false;
-      intent_.apply(add);
-      for (std::uint64_t j = 0; j < nRips; ++j) {
-        IntentRecord bind;
-        bind.op = IntentOp::AddRip;
-        bind.vip = add.vip;
-        bind.rip.rip = r.id<RipId>();
-        bind.rip.vm = r.id<VmId>();
-        bind.rip.mvip = r.id<VipId>();
-        bind.rip.weight = r.f64();
-        if (!r.ok() || !intent_.canApply(bind)) return false;
-        intent_.apply(bind);
-      }
-    }
-    return r.ok();
+    return intent_.install(r);
   };
   hooks.applyMutation = [this](std::span<const std::uint8_t> payload) {
     JournalEntry entry;
@@ -1077,27 +964,8 @@ void VipRipManager::serializeDurable(state::ByteWriter& w) const {
   w.u64(admissionTotals_.deferred);
   w.u32(vipIds_.allocated());
   w.u32(ripIds_.allocated());
-  // Canonical order: VIPs sorted by id; each VIP's RIPs in intent
-  // (append) order, which is itself a pure function of the mutation
-  // history.  Equal states therefore serialize to identical bytes.
-  std::map<VipId, const VipIntent*> sorted;
-  intent_.forEach([&](VipId vip, const VipIntent& in) {
-    sorted.emplace(vip, &in);
-  });
-  w.u64(sorted.size());
-  for (const auto& [vip, in] : sorted) {
-    w.id(vip);
-    w.id(in->app);
-    w.id(in->sw);
-    w.id(in->router);
-    w.u64(in->rips.size());
-    for (const RipEntry& r : in->rips) {
-      w.id(r.rip);
-      w.id(r.vm);
-      w.id(r.mvip);
-      w.f64(r.weight);
-    }
-  }
+  // Canonical (id-sorted) order, so equal states serialize identically.
+  intent_.serialize(w);
 }
 
 void VipRipManager::setSnapshotAdvisoryHooks(
@@ -1123,19 +991,7 @@ void VipRipManager::recoverFromDurable() {
       machine_.recover(sim_.now());
   journal_.resyncFromDurable();
   admission_.clearSilently();  // queued requests die with the crashed manager
-  vipRouter_.clear();
-  vmRips_.clear();
   exposureFactor_.clear();
-  routerVipCount_.assign(topo_.accessLinkCount(), 0);
-  intent_.forEach([&](VipId vip, const VipIntent& in) {
-    if (in.router.valid()) {
-      vipRouter_.emplace(vip, in.router);
-      ++routerVipCount_[in.router.index()];
-    }
-    for (const RipEntry& r : in.rips) {
-      if (r.targetsVm()) vmRips_[r.vm].push_back(RipRef{vip, r.rip});
-    }
-  });
   // The mirror of the lost-AddVip repair below: a RemoveRip whose switch
   // acks landed (so the caller destroyed the VM) but whose journal tail
   // did not survive the crash is resurrected by replay.  Left alone, the
@@ -1143,12 +999,13 @@ void VipRipManager::recoverFromDurable() {
   // switch and both sides would agree on a permanently dangling entry.
   // Re-remove it here, write-ahead, so the repair itself is durable.
   if (vmAlive_) {
-    std::vector<std::pair<VmId, RipRef>> dead;
-    for (const auto& [vm, refs] : vmRips_) {
-      if (vmAlive_(vm)) continue;
-      for (const RipRef& ref : refs) dead.emplace_back(vm, ref);
-    }
-    for (const auto& [vm, ref] : dead) dropRipIntent(ref.vip, ref.rip, vm);
+    std::vector<RipRef> dead;
+    intent_.forEach([&](VipId vip, const VipIntent& in) {
+      for (const RipEntry& r : in.rips) {
+        if (r.targetsVm() && !vmAlive_(r.vm)) dead.push_back({vip, r.rip});
+      }
+    });
+    for (const RipRef& ref : dead) dropRipIntent(ref.vip, ref.rip);
   }
   resyncExternalFromIntent();
   if (tracer_ != nullptr) {
@@ -1216,17 +1073,13 @@ void VipRipManager::resyncExternalFromIntent() {
 }
 
 void VipRipManager::moveVipRoute(VipId vip, AccessRouterId to) {
-  const auto it = vipRouter_.find(vip);
-  MDC_EXPECT(it != vipRouter_.end(), "vip has no advertised router");
-  const AccessRouterId from = it->second;
+  const AccessRouterId from = routerOf(vip);
   if (from == to) return;
-  if (intent_.find(vip) != nullptr) {
-    IntentRecord rec;
-    rec.op = IntentOp::MoveRoute;
-    rec.vip = vip;
-    rec.router = to;
-    intend(rec);
-  }
+  IntentRecord rec;
+  rec.op = IntentOp::MoveRoute;
+  rec.vip = vip;
+  rec.router = to;
+  intend(rec);
   // Pad the old route (drains but stays reachable), announce the new one,
   // and withdraw the old once the padded path has had time to drain.
   routes_.pad(vip, from, sim_.now());
@@ -1237,21 +1090,13 @@ void VipRipManager::moveVipRoute(VipId vip, AccessRouterId to) {
       routes_.withdraw(vip, from, sim_.now());
     }
   });
-  --routerVipCount_[from.index()];
-  ++routerVipCount_[to.index()];
-  it->second = to;
 }
 
 AccessRouterId VipRipManager::routerOf(VipId vip) const {
-  const auto it = vipRouter_.find(vip);
-  MDC_EXPECT(it != vipRouter_.end(), "vip has no advertised router");
-  return it->second;
-}
-
-std::vector<VipRipManager::RipRef> VipRipManager::ripsOf(VmId vm) const {
-  const auto it = vmRips_.find(vm);
-  if (it == vmRips_.end()) return {};
-  return it->second;
+  const VipIntent* in = intent_.find(vip);
+  MDC_EXPECT(in != nullptr && in->router.valid(),
+             "vip has no advertised router");
+  return in->router;
 }
 
 }  // namespace mdc

@@ -32,7 +32,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -69,8 +71,6 @@ class VipRipManager {
     /// Extra latency of the switch-side programmatic reconfiguration; if
     /// negative, the target switch's own limits().reconfigSeconds is used.
     SimTime reconfigSeconds = -1.0;
-    /// Initial DNS weight for newly created VIPs.
-    double newVipDnsWeight = 1.0;
     /// Seed of the control channel's fault randomness (E14).
     std::uint64_t channelSeed = 0x6d646314u;
     /// Ack/retry policy of the manager->switch command links.
@@ -131,12 +131,11 @@ class VipRipManager {
   /// old route, advertise at `to`, withdraw the old route after a drain
   /// window.  Used by the re-advertisement baseline in E4.
   void moveVipRoute(VipId vip, AccessRouterId to);
-  /// RIPs currently bound to a VM: (vip, rip) pairs.
-  struct RipRef {
-    VipId vip;
-    RipId rip;
-  };
-  [[nodiscard]] std::vector<RipRef> ripsOf(VmId vm) const;
+  /// RIPs currently bound to a VM: (vip, rip) pairs, read from the
+  /// intent store (valid until the next intent mutation).
+  [[nodiscard]] std::span<const RipRef> ripsOf(VmId vm) const {
+    return intent_.ripsOf(vm);
+  }
 
   // --- control plane (E14) -----------------------------------------------
 
@@ -203,11 +202,11 @@ class VipRipManager {
 
   // --- manager-tier fault tolerance (E16) --------------------------------
 
-  /// The serializing manager process dies mid-operation: every queued
-  /// request and every command awaiting its ack completes exactly once
-  /// with "cancelled" (no retry may fire into a dead term), and further
-  /// submissions are refused with "manager_down" until recovery.  The
-  /// write-ahead journal — the durable state — survives.
+  /// The serializing manager process dies mid-operation: every staged
+  /// or queued request and every command awaiting its ack completes
+  /// exactly once with "cancelled" (no retry may fire into a dead term),
+  /// and further submissions are refused with "manager_down" until
+  /// recovery.  The write-ahead journal — the durable state — survives.
   void crash();
 
   /// A standby takes over under a strictly higher fencing term: leftover
@@ -286,6 +285,8 @@ class VipRipManager {
 
  private:
   void pump();
+  /// Applies staged round `id`, unless crash() already settled it.
+  void commitRound(std::uint64_t id);
   /// Settles a request that died with the crashed manager.
   void cancelPending(AdmissionController::Entry p);
   /// Settles a request the admission layer refused or evicted.
@@ -308,9 +309,13 @@ class VipRipManager {
   /// Stamps the record with the current time, appends it to the journal
   /// (write-ahead), then applies it to the in-memory store.
   void intend(IntentRecord record);
-  /// Rolls an intended RIP back out (a rejected AddRip command) and drops
-  /// the VM bookkeeping ref.
-  void dropRipIntent(VipId vip, RipId rip, VmId vm);
+  /// Binds a fresh RIP for `vm` under `vip`: journals it, sends the
+  /// AddRip, and on a switch rejection rolls the intent back out.
+  void bindRip(VipId vip, VmId vm, double weight, TraceId trace,
+               SpanId parentSpan, DoneGuard done);
+  /// Journals the removal of an intended RIP (a no-op for a VIP the
+  /// intent no longer holds).
+  void dropRipIntent(VipId vip, RipId rip);
 
   /// The most underloaded *healthy* switch with intended VIP-table space,
   /// if any.  Scored on intent, not actual tables: under in-flight or
@@ -369,6 +374,11 @@ class VipRipManager {
   std::unordered_map<VipId, double> exposureFactor_;
   AdmissionController admission_;
   AdmissionTotals admissionTotals_;
+  /// Admitted rounds waiting out their decision + reconfiguration time,
+  /// keyed by round id (admission order).  The pump's timers carry only
+  /// the id, so crash() can settle a round a timer still points at.
+  std::map<std::uint64_t, std::vector<AdmissionController::Entry>> staged_;
+  std::uint64_t nextRoundId_ = 0;
   bool pumping_ = false;
   /// False while the manager process is down (between crash() and
   /// recoverAsLeader()); gates the queue and every apply continuation.
@@ -381,9 +391,6 @@ class VipRipManager {
 
   IdAllocator<VipId> vipIds_;
   IdAllocator<RipId> ripIds_;
-  std::unordered_map<VipId, AccessRouterId> vipRouter_;
-  std::unordered_map<VmId, std::vector<RipRef>> vmRips_;
-  std::vector<std::uint32_t> routerVipCount_;
 };
 
 }  // namespace mdc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "mdc/util/expect.hpp"
 
@@ -75,37 +76,79 @@ bool decodeJournalEntry(std::span<const std::uint8_t> payload,
   }
 }
 
+namespace {
+
+/// The dense slot for `index`, grown on first touch.
+template <typename T>
+T& slot(std::vector<T>& v, std::size_t index) {
+  if (index >= v.size()) v.resize(index + 1);
+  return v[index];
+}
+
+std::uint32_t countAt(const std::vector<std::uint32_t>& v, std::size_t index) {
+  return index < v.size() ? v[index] : 0;
+}
+
+}  // namespace
+
 const VipIntent* IntentStore::find(VipId vip) const {
   const auto it = vips_.find(vip);
   return it == vips_.end() ? nullptr : &it->second;
 }
 
 std::uint32_t IntentStore::vipsOn(SwitchId sw) const {
-  const auto it = vipCount_.find(sw);
-  return it == vipCount_.end() ? 0 : it->second;
+  return countAt(vipCount_, sw.index());
 }
 
 std::uint32_t IntentStore::ripsOn(SwitchId sw) const {
-  const auto it = ripCount_.find(sw);
-  return it == ripCount_.end() ? 0 : it->second;
+  return countAt(ripCount_, sw.index());
+}
+
+std::uint32_t IntentStore::vipsAt(AccessRouterId router) const {
+  return countAt(routerVipCount_, router.index());
+}
+
+std::span<const RipRef> IntentStore::ripsOf(VmId vm) const {
+  if (!vm.valid() || vm.index() >= vmRips_.size()) return {};
+  return vmRips_[vm.index()];
 }
 
 bool IntentStore::canApply(const IntentRecord& record) const {
+  // The derived indexes are dense vectors keyed by id: an id no allocator
+  // could have handed out (only damaged bytes carry one) must not size
+  // them.
+  constexpr std::size_t kMaxIndex = std::size_t{1} << 26;
+  const bool routerFits =
+      !record.router.valid() || record.router.index() < kMaxIndex;
   switch (record.op) {
     case IntentOp::AddVip:
-      return !vips_.contains(record.vip);
+      return !vips_.contains(record.vip) && record.sw.index() < kMaxIndex &&
+             routerFits;
     case IntentOp::AddRip: {
       const VipIntent* in = find(record.vip);
-      return in != nullptr && in->findRip(record.rip.rip) == nullptr;
+      return in != nullptr && in->findRip(record.rip.rip) == nullptr &&
+             (!record.rip.targetsVm() || record.rip.vm.index() < kMaxIndex);
     }
-    case IntentOp::RemoveVip:
     case IntentOp::MoveVip:
+      return vips_.contains(record.vip) && record.sw.index() < kMaxIndex;
     case IntentOp::MoveRoute:
+      return vips_.contains(record.vip) && routerFits;
+    case IntentOp::RemoveVip:
     case IntentOp::RemoveRip:
     case IntentOp::SetRipWeight:
       return vips_.contains(record.vip);
   }
   return false;
+}
+
+void IntentStore::unbindVm(const RipEntry& r, VipId vip) {
+  if (!r.targetsVm()) return;
+  std::vector<RipRef>& refs = vmRips_[r.vm.index()];
+  const auto it =
+      std::find_if(refs.begin(), refs.end(), [&](const RipRef& ref) {
+        return ref.vip == vip && ref.rip == r.rip;
+      });
+  if (it != refs.end()) refs.erase(it);
 }
 
 void IntentStore::apply(const IntentRecord& record) {
@@ -114,15 +157,19 @@ void IntentStore::apply(const IntentRecord& record) {
       MDC_EXPECT(!vips_.contains(record.vip), "AddVip: vip already intended");
       vips_.emplace(record.vip,
                     VipIntent{record.app, record.sw, record.router, {}});
-      ++vipCount_[record.sw];
+      ++slot(vipCount_, record.sw.index());
+      if (record.router.valid()) ++slot(routerVipCount_, record.router.index());
       return;
     }
     case IntentOp::RemoveVip: {
       const auto it = vips_.find(record.vip);
       MDC_EXPECT(it != vips_.end(), "RemoveVip: vip not intended");
-      ripCount_[it->second.sw] -=
-          static_cast<std::uint32_t>(it->second.rips.size());
-      --vipCount_[it->second.sw];
+      const VipIntent& in = it->second;
+      for (const RipEntry& r : in.rips) unbindVm(r, record.vip);
+      slot(ripCount_, in.sw.index()) -=
+          static_cast<std::uint32_t>(in.rips.size());
+      --slot(vipCount_, in.sw.index());
+      if (in.router.valid()) --routerVipCount_[in.router.index()];
       vips_.erase(it);
       return;
     }
@@ -132,17 +179,20 @@ void IntentStore::apply(const IntentRecord& record) {
       VipIntent& in = it->second;
       if (in.sw == record.sw) return;
       const auto nRips = static_cast<std::uint32_t>(in.rips.size());
-      ripCount_[in.sw] -= nRips;
-      --vipCount_[in.sw];
+      slot(ripCount_, in.sw.index()) -= nRips;
+      --slot(vipCount_, in.sw.index());
       in.sw = record.sw;
-      ripCount_[in.sw] += nRips;
-      ++vipCount_[in.sw];
+      slot(ripCount_, in.sw.index()) += nRips;
+      ++slot(vipCount_, in.sw.index());
       return;
     }
     case IntentOp::MoveRoute: {
       const auto it = vips_.find(record.vip);
       MDC_EXPECT(it != vips_.end(), "MoveRoute: vip not intended");
-      it->second.router = record.router;
+      VipIntent& in = it->second;
+      if (in.router.valid()) --routerVipCount_[in.router.index()];
+      in.router = record.router;
+      if (in.router.valid()) ++slot(routerVipCount_, in.router.index());
       return;
     }
     case IntentOp::AddRip: {
@@ -151,17 +201,25 @@ void IntentStore::apply(const IntentRecord& record) {
       MDC_EXPECT(it->second.findRip(record.rip.rip) == nullptr,
                  "AddRip: rip already intended");
       it->second.rips.push_back(record.rip);
-      ++ripCount_[it->second.sw];
+      ++slot(ripCount_, it->second.sw.index());
+      if (record.rip.targetsVm()) {
+        slot(vmRips_, record.rip.vm.index())
+            .push_back(RipRef{record.vip, record.rip.rip});
+      }
       return;
     }
     case IntentOp::RemoveRip: {
       const auto it = vips_.find(record.vip);
       MDC_EXPECT(it != vips_.end(), "RemoveRip: vip not intended");
       auto& rips = it->second.rips;
-      const auto sizeBefore = rips.size();
-      std::erase_if(rips,
-                    [&](const RipEntry& r) { return r.rip == record.rip.rip; });
-      if (rips.size() < sizeBefore) --ripCount_[it->second.sw];
+      const auto r =
+          std::find_if(rips.begin(), rips.end(), [&](const RipEntry& e) {
+            return e.rip == record.rip.rip;
+          });
+      if (r == rips.end()) return;
+      unbindVm(*r, record.vip);
+      rips.erase(r);
+      --slot(ripCount_, it->second.sw.index());
       return;
     }
     case IntentOp::SetRipWeight: {
@@ -181,6 +239,52 @@ void IntentStore::apply(const IntentRecord& record) {
 void IntentStore::forEach(
     const std::function<void(VipId, const VipIntent&)>& fn) const {
   for (const auto& [vip, intent] : vips_) fn(vip, intent);
+}
+
+void IntentStore::serialize(state::ByteWriter& w) const {
+  std::map<VipId, const VipIntent*> sorted;
+  for (const auto& [vip, in] : vips_) sorted.emplace(vip, &in);
+  w.u64(sorted.size());
+  for (const auto& [vip, in] : sorted) {
+    w.id(vip);
+    w.id(in->app);
+    w.id(in->sw);
+    w.id(in->router);
+    w.u64(in->rips.size());
+    for (const RipEntry& r : in->rips) {
+      w.id(r.rip);
+      w.id(r.vm);
+      w.id(r.mvip);
+      w.f64(r.weight);
+    }
+  }
+}
+
+bool IntentStore::install(state::ByteReader& r) {
+  const std::uint64_t nVips = r.u64();
+  for (std::uint64_t i = 0; i < nVips; ++i) {
+    IntentRecord add;
+    add.op = IntentOp::AddVip;
+    add.vip = r.id<VipId>();
+    add.app = r.id<AppId>();
+    add.sw = r.id<SwitchId>();
+    add.router = r.id<AccessRouterId>();
+    const std::uint64_t nRips = r.u64();
+    if (!r.ok() || !canApply(add)) return false;
+    apply(add);
+    for (std::uint64_t j = 0; j < nRips; ++j) {
+      IntentRecord bind;
+      bind.op = IntentOp::AddRip;
+      bind.vip = add.vip;
+      bind.rip.rip = r.id<RipId>();
+      bind.rip.vm = r.id<VmId>();
+      bind.rip.mvip = r.id<VipId>();
+      bind.rip.weight = r.f64();
+      if (!r.ok() || !canApply(bind)) return false;
+      apply(bind);
+    }
+  }
+  return r.ok();
 }
 
 void IntentJournal::append(const IntentRecord& record) {

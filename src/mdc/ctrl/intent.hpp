@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -97,6 +98,16 @@ void encodeIntentRecord(const IntentRecord& record, state::ByteWriter& w);
 [[nodiscard]] bool decodeJournalEntry(std::span<const std::uint8_t> payload,
                                       JournalEntry& out);
 
+/// One intended RIP that targets a VM: the VIP it backs and its id.
+struct RipRef {
+  VipId vip;
+  RipId rip;
+};
+
+/// The intended VIP/RIP state plus the indexes derived from it.  Every
+/// index is maintained inside apply(), so live mutation, journal replay
+/// and snapshot install keep them in step by construction; no caller
+/// keeps a copy of its own.
 class IntentStore {
  public:
   [[nodiscard]] const VipIntent* find(VipId vip) const;
@@ -106,6 +117,11 @@ class IntentStore {
   /// commands, where actual tables lag intent).
   [[nodiscard]] std::uint32_t vipsOn(SwitchId sw) const;
   [[nodiscard]] std::uint32_t ripsOn(SwitchId sw) const;
+  /// Intended VIPs advertised at an access router.
+  [[nodiscard]] std::uint32_t vipsAt(AccessRouterId router) const;
+  /// Every intended RIP that targets `vm`, in AddRip-apply order.  The
+  /// span is valid until the next apply().
+  [[nodiscard]] std::span<const RipRef> ripsOf(VmId vm) const;
 
   /// Whether apply() would accept the record.  The live path asserts on
   /// the same conditions (a malformed live mutation is a bug); replay
@@ -119,10 +135,22 @@ class IntentStore {
   void forEach(
       const std::function<void(VipId, const VipIntent&)>& fn) const;
 
+  /// Canonical snapshot form: VIPs sorted by id, each VIP's RIPs in
+  /// intent (append) order, so equal states serialize to equal bytes.
+  void serialize(state::ByteWriter& w) const;
+  /// Applies a serialize()d section to this (empty) store through
+  /// apply(); false on malformed or inapplicable bytes.
+  [[nodiscard]] bool install(state::ByteReader& r);
+
  private:
+  void unbindVm(const RipEntry& r, VipId vip);
+
   std::unordered_map<VipId, VipIntent> vips_;
-  std::unordered_map<SwitchId, std::uint32_t> vipCount_;
-  std::unordered_map<SwitchId, std::uint32_t> ripCount_;
+  // Dense indexes keyed by id index.
+  std::vector<std::uint32_t> vipCount_;        // per switch
+  std::vector<std::uint32_t> ripCount_;        // per switch
+  std::vector<std::uint32_t> routerVipCount_;  // per access router
+  std::vector<std::vector<RipRef>> vmRips_;    // per VM
 };
 
 /// Write-ahead journal over a checksummed changelog.  The durable bytes

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "mdc/core/viprip_manager.hpp"
 
@@ -184,6 +185,52 @@ TEST(VipRipManager, RestoreVipRehostsOrphanWithOriginalRips) {
                    7.0);
 }
 
+// A restore whose RIP set omits an intended RIP of a live VM (a command
+// lost around the crash) drops that RIP from intent, and with it the
+// VM's binding: the VM reads as unbound, so its next weight update fails
+// with "vm_has_no_rips" and the global manager re-binds it.
+TEST(VipRipManager, RestoreVipOmittingALiveRipUnbindsItsVm) {
+  Fixture f;
+  const AppId app = f.makeApp();
+  const auto vip = f.viprip.createVipNow(app);
+  ASSERT_TRUE(vip.ok());
+  ASSERT_TRUE(f.viprip.createRipNow(app, VmId{0}, 2.0).ok());
+  ASSERT_TRUE(f.viprip.createRipNow(app, VmId{1}, 3.0).ok());
+  ASSERT_EQ(f.viprip.ripsOf(VmId{1}).size(), 1u);
+
+  const SwitchId owner = *f.fleet.ownerOf(vip.value());
+  ASSERT_EQ(f.fleet.crashSwitch(owner, f.sim.now()), 1u);
+  auto orphans = f.fleet.takeOrphans(owner);
+  ASSERT_EQ(orphans.size(), 1u);
+  std::erase_if(orphans[0].rips,
+                [](const RipEntry& r) { return r.vm == VmId{1}; });
+
+  VipRipRequest req;
+  req.op = VipRipOp::RestoreVip;
+  req.app = orphans[0].app;
+  req.vip = orphans[0].vip;
+  req.rips = orphans[0].rips;
+  Status restored = Status::fail("pending");
+  req.done = [&](Status s) { restored = s; };
+  f.viprip.submit(std::move(req));
+  f.sim.runUntil(10.0);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(f.viprip.intent().find(vip.value())->rips.size(), 1u);
+  EXPECT_EQ(f.viprip.ripsOf(VmId{0}).size(), 1u);
+  EXPECT_TRUE(f.viprip.ripsOf(VmId{1}).empty());
+
+  VipRipRequest w;
+  w.op = VipRipOp::SetWeight;
+  w.vm = VmId{1};
+  w.weight = 4.0;
+  Status weighted = Status::okStatus();
+  w.done = [&](Status s) { weighted = s; };
+  f.viprip.submit(std::move(w));
+  f.sim.runUntil(20.0);
+  ASSERT_FALSE(weighted.ok());
+  EXPECT_EQ(weighted.error().code, "vm_has_no_rips");
+}
+
 TEST(VipRipManager, RipGoesToSwitchHostingAppVip) {
   Fixture f;
   const AppId app = f.makeApp();
@@ -292,6 +339,59 @@ TEST(VipRipManager, EqualPriorityFifoSurvivesCrashRecover) {
   EXPECT_EQ(codes[3], "ok");
   EXPECT_EQ(codes[4], "ok");
   EXPECT_EQ(codes[5], "ok");
+}
+
+// A round between admission and commit (0.1 s decision + 1 s switch
+// reconfiguration) belongs to the manager process: tearing the manager
+// down settles it like any other pending request.
+TEST(VipRipManager, TeardownSettlesStagedRoundOnce) {
+  int calls = 0;
+  std::string code;
+  {
+    Fixture f;
+    const AppId app = f.makeApp();
+    VipRipRequest req;
+    req.op = VipRipOp::NewVip;
+    req.app = app;
+    req.done = [&](Status s) {
+      ++calls;
+      code = s.ok() ? "ok" : s.error().code;
+    };
+    f.viprip.submit(std::move(req));
+    f.sim.runUntil(0.5);  // admitted, not yet committed
+    ASSERT_EQ(calls, 0);
+    ASSERT_EQ(f.viprip.queueLength(), 0u);
+  }
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(code, "cancelled");
+}
+
+// A crashed leader's staged round dies with it: a successor that takes
+// over before the round's timers fire must not apply it.
+TEST(VipRipManager, CrashCancelsStagedRoundBeforeRecoveredLeaderRuns) {
+  Fixture f;
+  const AppId app = f.makeApp();
+  int calls = 0;
+  std::string code;
+  VipRipRequest req;
+  req.op = VipRipOp::NewVip;
+  req.app = app;
+  req.done = [&](Status s) {
+    ++calls;
+    code = s.ok() ? "ok" : s.error().code;
+  };
+  f.viprip.submit(std::move(req));
+  f.sim.runUntil(0.5);
+  f.viprip.crash();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(code, "cancelled");
+  f.viprip.recoverAsLeader(2);
+  f.sim.runUntil(5.0);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(code, "cancelled");
+  EXPECT_TRUE(f.apps.app(app).vips.empty());
+  EXPECT_EQ(f.viprip.intent().vipCount(), 0u);
+  EXPECT_EQ(f.viprip.cancelledRequests(), 1u);
 }
 
 TEST(VipRipManager, SetWeightAndDeleteRip) {
