@@ -285,21 +285,38 @@ void GlobalManager::observe(const EpochReport& report) {
   for (auto& pod : pods_) {
     pod->clearAppDemand();
   }
+  // An app has instances in a few pods at most: a small vector, reused.
+  // Apps and the report's demand series are both in ascending id order,
+  // so one cursor walks the series alongside the apps.
+  std::vector<std::pair<PodId, double>> perPod;
+  auto demandIt = report.appDemandRps.begin();
   for (const Application& a : apps_.all()) {
-    std::unordered_map<PodId, double> perPod;
+    perPod.clear();
     double routed = 0.0;
     for (VmId vm : a.instances) {
       if (!hosts_.vmExists(vm)) continue;
       const VmRecord& rec = hosts_.vm(vm);
       const PodId pod = podRegistry_.podOf(rec.server);
       if (!pod.valid()) continue;
-      perPod[pod] += rec.offeredRps;
+      const auto slot = std::find_if(
+          perPod.begin(), perPod.end(),
+          [pod](const std::pair<PodId, double>& p) { return p.first == pod; });
+      if (slot == perPod.end()) {
+        perPod.emplace_back(pod, rec.offeredRps);
+      } else {
+        slot->second += rec.offeredRps;
+      }
       routed += rec.offeredRps;
     }
     // Demand that found no RIP path yet is assigned proportionally (or to
     // the app's first instance's pod) so someone scales it up.
-    const auto it = report.appDemandRps.find(a.id);
-    const double demand = it == report.appDemandRps.end() ? 0.0 : it->second;
+    while (demandIt != report.appDemandRps.end() && demandIt->first < a.id) {
+      ++demandIt;
+    }
+    const double demand =
+        demandIt != report.appDemandRps.end() && demandIt->first == a.id
+            ? demandIt->second
+            : 0.0;
     const double missing = std::max(0.0, demand - routed);
     if (missing > 0.0 && !perPod.empty()) {
       const double bump = missing / static_cast<double>(perPod.size());
@@ -315,7 +332,7 @@ void GlobalManager::observe(const EpochReport& report) {
           coldest = pod.get();
         }
       }
-      if (coldest != nullptr) perPod[coldest->id()] = demand;
+      if (coldest != nullptr) perPod.emplace_back(coldest->id(), demand);
     }
     for (const auto& [pod, rps] : perPod) {
       if (pod.index() < pods_.size()) {

@@ -179,7 +179,9 @@ void InterPodBalancer::relieveByDeployment(PodManager& hot) {
   if (!victim.valid() || bestUnserved <= 1.0) return;
 
   // Size the clone for the unserved demand, capped at roughly half a
-  // server; place it on the cold pod's emptiest fitting server.
+  // server; place it on the cold pod's emptiest fitting server that does
+  // not already host the app (a second instance of an app on one server
+  // is a duplicate the pod loop retires).
   const AppSla& sla = apps_.app(victim).sla;
   double instanceRps = bestUnserved;
   for (ServerId s : cold->servers()) {
@@ -191,7 +193,7 @@ void InterPodBalancer::relieveByDeployment(PodManager& hot) {
   ServerId target;
   double bestUtil = std::numeric_limits<double>::infinity();
   for (ServerId s : cold->servers()) {
-    if (!hosts_.serverUp(s)) continue;
+    if (!hosts_.serverUp(s) || hosts_.hostsApp(s, victim)) continue;
     if (!slice.fitsWithin(hosts_.freeCapacity(s))) continue;
     const double u = hosts_.serverUtilization(s);
     if (u < bestUtil) {

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numeric>
 #include <set>
 
 #include "mdc/util/expect.hpp"
+#include "mdc/util/flat_map.hpp"
 
 namespace mdc {
 
@@ -43,7 +43,7 @@ class WorkingState {
     return perApp_[app].size();
   }
 
-  [[nodiscard]] const std::map<std::uint32_t, double>& instances(
+  [[nodiscard]] const FlatMap<std::uint32_t, double>& instances(
       std::uint32_t app) const {
     return perApp_[app];
   }
@@ -74,7 +74,7 @@ class WorkingState {
     auto& inst = perApp_[app];
     const auto it = inst.find(server);
     if (it == inst.end()) {
-      inst.emplace(server, rps);
+      inst[server] = rps;
       used_[server] += sla.demandFor(rps);
     } else {
       // Only the rate-proportional part grows; memory is already paid.
@@ -98,7 +98,7 @@ class WorkingState {
     const double newRps = std::max(0.0, it->second - rps);
     if (newRps <= 1e-9) {
       used_[server] -= sla.demandFor(it->second);
-      inst.erase(it);
+      inst.erase(server);
     } else {
       CapacityVec delta = sla.demandFor(rps);
       delta[Resource::Memory] = 0.0;
@@ -117,29 +117,37 @@ class WorkingState {
         out.satisfiedRps += rps;
       }
     }
-    // Churn vs input.current (an instance = an (app, server) pair).
-    std::set<std::pair<std::uint32_t, std::uint32_t>> before;
+    // Churn vs input.current (an instance = an (app, server) pair).  The
+    // assignment is already in ascending unique key order; the current
+    // instances are sorted and deduplicated, then the two are merged.
+    std::vector<std::uint64_t> before;
+    before.reserve(input_.current.size());
     for (const Assignment& a : input_.current) {
-      if (a.rps > 0.0) before.emplace(a.app, a.server);
+      if (a.rps > 0.0) before.push_back(instanceKey(a));
     }
-    std::set<std::pair<std::uint32_t, std::uint32_t>> after;
+    std::sort(before.begin(), before.end());
+    before.erase(std::unique(before.begin(), before.end()), before.end());
+    auto b = before.begin();
     for (const Assignment& a : out.assignment) {
-      after.emplace(a.app, a.server);
+      const std::uint64_t k = instanceKey(a);
+      for (; b != before.end() && *b < k; ++b) ++out.instancesStopped;
+      if (b != before.end() && *b == k) {
+        ++b;
+      } else {
+        ++out.instancesStarted;
+      }
     }
-    for (const auto& key : after) {
-      if (!before.contains(key)) ++out.instancesStarted;
-    }
-    for (const auto& key : before) {
-      if (!after.contains(key)) ++out.instancesStopped;
-    }
+    out.instancesStopped +=
+        static_cast<std::uint32_t>(std::distance(b, before.end()));
     return out;
   }
 
  private:
   const PlacementInput& input_;
   std::vector<CapacityVec> used_;
-  // app -> (server -> rps).  Ordered map for deterministic iteration.
-  std::vector<std::map<std::uint32_t, double>> perApp_;
+  // app -> (server -> rps), sorted by server: an app has few instances,
+  // and the iteration order is deterministic.
+  std::vector<FlatMap<std::uint32_t, double>> perApp_;
 };
 
 std::vector<std::uint32_t> appsByDescendingDemand(const PlacementInput& in) {

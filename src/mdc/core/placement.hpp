@@ -45,6 +45,12 @@ struct Assignment {
   double rps = 0.0;
 };
 
+/// An assignment's (app, server) instance key; orders like the pair.
+[[nodiscard]] constexpr std::uint64_t instanceKey(
+    const Assignment& a) noexcept {
+  return (std::uint64_t{a.app} << 32) | a.server;
+}
+
 struct PlacementInput {
   std::vector<PlacementServer> servers;
   std::vector<PlacementApp> apps;
@@ -54,6 +60,7 @@ struct PlacementInput {
 };
 
 struct PlacementResult {
+  /// In ascending, unique (app, server) order.
   std::vector<Assignment> assignment;
   double satisfiedRps = 0.0;
   double demandRps = 0.0;

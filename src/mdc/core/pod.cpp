@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <cmath>
+#include <ranges>
 
 #include "mdc/util/expect.hpp"
 #include "mdc/util/stats.hpp"
@@ -100,19 +101,33 @@ bool PodManager::vacateServer(ServerId server,
     free.emplace_back(s, hosts_.freeCapacity(s));
   }
   std::vector<std::pair<VmId, ServerId>> plan;
+  // A target already hosting the app is a last resort: two instances of
+  // one app on one server are one instance to the control loop, which
+  // retires the extra one.
+  const auto hostsApp = [&](ServerId s, AppId app) {
+    if (hosts_.hostsApp(s, app)) return true;
+    for (const auto& [planned, dst] : plan) {
+      if (dst == s && hosts_.vm(planned).app == app) return true;
+    }
+    return false;
+  };
   for (VmId vm : toMove) {
-    const CapacityVec slice = hosts_.vm(vm).slice;
+    const VmRecord& rec = hosts_.vm(vm);
     auto best = free.end();
+    bool bestHostsApp = false;
     for (auto it = free.begin(); it != free.end(); ++it) {
-      if (slice.fitsWithin(it->second) &&
-          (best == free.end() ||
+      if (!rec.slice.fitsWithin(it->second)) continue;
+      const bool itHostsApp = hostsApp(it->first, rec.app);
+      if (best == free.end() || (bestHostsApp && !itHostsApp) ||
+          (bestHostsApp == itHostsApp &&
            it->second.maxRatio(topo_.server(it->first).capacity) <
                best->second.maxRatio(topo_.server(best->first).capacity))) {
         best = it;
+        bestHostsApp = itHostsApp;
       }
     }
     if (best == free.end()) return false;
-    best->second -= slice;
+    best->second -= rec.slice;
     plan.emplace_back(vm, best->first);
   }
 
@@ -153,11 +168,18 @@ std::vector<ServerId> PodManager::pickDonorServers(std::size_t n) const {
 }
 
 void PodManager::setAppDemand(AppId app, double rps) {
+  MDC_EXPECT(app.valid(), "invalid app");
   MDC_EXPECT(rps >= 0.0, "negative demand");
-  demand_[app] = rps;
+  const std::size_t i = app.index();
+  if (i >= demand_.size()) demand_.resize(i + 1, -1.0);
+  if (demand_[i] < 0.0) demandApps_.push_back(app);
+  demand_[i] = rps;
 }
 
-void PodManager::clearAppDemand() { demand_.clear(); }
+void PodManager::clearAppDemand() {
+  for (AppId app : demandApps_) demand_[app.index()] = -1.0;
+  demandApps_.clear();
+}
 
 std::vector<AppId> PodManager::coveredApps() const {
   std::unordered_set<AppId> seen;
@@ -177,7 +199,7 @@ void PodManager::runControlLoop() {
   if (!online_) return;
   // No demand signal yet (the engine has not reported an epoch): deciding
   // now would mistake "unknown" for "zero" and tear everything down.
-  if (demand_.empty()) return;
+  if (demandApps_.empty()) return;
 
   // --- build the placement problem over this pod ------------------------
   std::vector<ServerId> serverIds;
@@ -186,13 +208,15 @@ void PodManager::runControlLoop() {
   }
   if (serverIds.empty()) return;
 
-  std::unordered_map<AppId, std::uint32_t> appIndex;
   std::vector<AppId> appIds;
   auto internApp = [&](AppId app) {
-    const auto [it, inserted] =
-        appIndex.emplace(app, static_cast<std::uint32_t>(appIds.size()));
-    if (inserted) appIds.push_back(app);
-    return it->second;
+    const std::size_t i = app.index();
+    if (i >= appSlot_.size()) appSlot_.resize(i + 1, 0);
+    if (appSlot_[i] == 0) {
+      appIds.push_back(app);
+      appSlot_[i] = static_cast<std::uint32_t>(appIds.size());
+    }
+    return appSlot_[i] - 1;
   };
 
   PlacementInput input;
@@ -201,12 +225,9 @@ void PodManager::runControlLoop() {
     input.servers.push_back(PlacementServer{topo_.server(s).capacity});
   }
 
-  // Current assignments from live VMs; also interns their apps.
-  std::unordered_map<ServerId, std::uint32_t> serverIndex;
-  for (std::uint32_t i = 0; i < serverIds.size(); ++i) {
-    serverIndex.emplace(serverIds[i], i);
-  }
-  std::map<std::pair<std::uint32_t, std::uint32_t>, VmId> existingVm;
+  // Current assignments from live VMs (the VM of each entry kept beside
+  // it); also interns their apps.
+  std::vector<VmId> currentVms;
   for (std::uint32_t si = 0; si < serverIds.size(); ++si) {
     for (VmId vm : hosts_.vmsOn(serverIds[si])) {
       if (!hosts_.vmExists(vm)) continue;
@@ -217,18 +238,19 @@ void PodManager::runControlLoop() {
       const double rps = apps_.app(rec.app).sla.servableRps(rec.slice) /
                          options_.headroom;
       input.current.push_back(Assignment{ai, si, rps});
-      existingVm[{ai, si}] = vm;
+      currentVms.push_back(vm);
     }
   }
-  for (const auto& [app, rps] : demand_) {
-    internApp(app);
-  }
+  // Apps known only from the demand report are interned newest-reported
+  // first.  The order is a fixed choice; the pinned decision digest
+  // (pod_test) and the benchmark's run hashes depend on it.
+  for (AppId app : std::views::reverse(demandApps_)) internApp(app);
 
   input.apps.resize(appIds.size());
   for (std::uint32_t ai = 0; ai < appIds.size(); ++ai) {
-    const auto it = demand_.find(appIds[ai]);
-    input.apps[ai] = PlacementApp{apps_.app(appIds[ai]).sla,
-                                  it == demand_.end() ? 0.0 : it->second};
+    input.apps[ai] =
+        PlacementApp{apps_.app(appIds[ai]).sla, demandOf(appIds[ai])};
+    appSlot_[appIds[ai].index()] = 0;  // scratch is clean for next round
   }
 
   // --- decide (measuring real decision time) ----------------------------
@@ -238,53 +260,76 @@ void PodManager::runControlLoop() {
   stats_.decisionSeconds =
       std::chrono::duration<double>(t1 - t0).count();
 
-  applyAssignment(input, result, appIds, serverIds);
+  applyAssignment(input, result, appIds, serverIds, currentVms);
   updateStats(result);
-
-  // Keep the map bounded: stale VMs were handled, fresh demand arrives
-  // next epoch.
-  (void)existingVm;
 }
 
 void PodManager::applyAssignment(const PlacementInput& input,
                                  const PlacementResult& result,
                                  const std::vector<AppId>& appIds,
-                                 const std::vector<ServerId>& serverIds) {
-  // Desired (app, server) -> rps.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, double> desired;
+                                 const std::vector<ServerId>& serverIds,
+                                 const std::vector<VmId>& currentVms) {
+  // Desired instances: the assignment minus negligible ones.
+  std::vector<const Assignment*> desired;
+  desired.reserve(result.assignment.size());
   for (const Assignment& a : result.assignment) {
-    if (a.rps > 1e-9) desired[{a.app, a.server}] = a.rps;
+    if (a.rps <= 1e-9) continue;
+    MDC_ENSURE(desired.empty() || instanceKey(*desired.back()) < instanceKey(a),
+               "placement assignment not in (app, server) order");
+    desired.push_back(&a);
   }
-  // Existing (app, server) -> vm.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, VmId> existing;
-  std::unordered_map<ServerId, std::uint32_t> serverIndex;
-  for (std::uint32_t i = 0; i < serverIds.size(); ++i) {
-    serverIndex.emplace(serverIds[i], i);
+  // Existing instances in (app, server) key order, VmId order within a
+  // key.  Two instances of one app on one server (a migration or a clone
+  // landing beside a resident) are one instance to placement: the oldest
+  // Active VM manages the key and the others are duplicates to retire.
+  // While none is Active the lowest id manages and none is a duplicate.
+  struct Existing {
+    std::uint64_t key;
+    VmId vm;
+    bool manages = false;
+    bool duplicate = false;
+  };
+  std::vector<Existing> existing;
+  existing.reserve(input.current.size());
+  for (std::size_t i = 0; i < input.current.size(); ++i) {
+    existing.push_back(Existing{instanceKey(input.current[i]), currentVms[i]});
   }
-  std::unordered_map<AppId, std::uint32_t> appIndex;
-  for (std::uint32_t i = 0; i < appIds.size(); ++i) {
-    appIndex.emplace(appIds[i], i);
-  }
-  for (std::uint32_t si = 0; si < serverIds.size(); ++si) {
-    for (VmId vm : hosts_.vmsOn(serverIds[si])) {
-      if (!hosts_.vmExists(vm)) continue;
-      const VmRecord& rec = hosts_.vm(vm);
-      if (rec.server != serverIds[si]) continue;
-      if (!isManagedInstance(rec.app, vm)) continue;
-      const auto ai = appIndex.find(rec.app);
-      if (ai == appIndex.end()) continue;
-      existing[{ai->second, si}] = vm;
+  std::sort(existing.begin(), existing.end(),
+            [](const Existing& a, const Existing& b) {
+              return a.key != b.key ? a.key < b.key : a.vm < b.vm;
+            });
+  const auto active = [this](const Existing& ex) {
+    return hosts_.vm(ex.vm).state == VmState::Active;
+  };
+  for (std::size_t lo = 0, hi = 0; lo < existing.size(); lo = hi) {
+    while (hi < existing.size() && existing[hi].key == existing[lo].key) ++hi;
+    std::size_t manager = lo;
+    while (manager < hi && !active(existing[manager])) ++manager;
+    if (manager == hi) {
+      existing[lo].manages = true;
+      continue;
+    }
+    for (std::size_t i = lo; i < hi; ++i) {
+      existing[i].manages = i == manager;
+      existing[i].duplicate = i != manager;
     }
   }
 
   // Create or resize.
-  for (const auto& [key, rps] : desired) {
-    const AppId app = appIds[key.first];
-    const ServerId server = serverIds[key.second];
-    const AppSla& sla = input.apps[key.first].sla;
+  std::size_t e = 0;
+  for (const Assignment* want : desired) {
+    const std::uint64_t key = instanceKey(*want);
+    while (e < existing.size() &&
+           (existing[e].key < key ||
+            (existing[e].key == key && !existing[e].manages))) {
+      ++e;
+    }
+    const AppId app = appIds[want->app];
+    const ServerId server = serverIds[want->server];
+    const double rps = want->rps;
+    const AppSla& sla = input.apps[want->app].sla;
     const CapacityVec slice = sla.sliceFor(rps, options_.headroom);
-    const auto ex = existing.find(key);
-    if (ex == existing.end()) {
+    if (e == existing.size() || existing[e].key != key) {
       const double weight = rps;
       auto created = hosts_.createVm(
           app, server, slice, options_.useFastClone,
@@ -298,11 +343,10 @@ void PodManager::applyAssignment(const PlacementInput& input,
       // physical reservations (e.g. in-flight adjustments); skipped this
       // round, retried next.
     } else {
-      const VmId vm = ex->second;
+      const VmId vm = existing[e].vm;
       const VmRecord& rec = hosts_.vm(vm);
       if (rec.state != VmState::Active) continue;
-      const double curRps = apps_.app(app).sla.servableRps(rec.slice) /
-                            options_.headroom;
+      const double curRps = sla.servableRps(rec.slice) / options_.headroom;
       if (std::abs(curRps - rps) > options_.resizeDeadband *
                                        std::max(curRps, 1.0)) {
         (void)hosts_.adjustVmCapacity(vm, slice);
@@ -320,9 +364,14 @@ void PodManager::applyAssignment(const PlacementInput& input,
     }
   }
 
-  // Destroy what placement no longer wants.
-  for (const auto& [key, vm] : existing) {
-    if (desired.contains(key)) continue;
+  // Destroy what placement no longer wants, and co-resident duplicates.
+  std::size_t d = 0;
+  for (const Existing& ex : existing) {
+    const std::uint64_t key = ex.key;
+    while (d < desired.size() && instanceKey(*desired[d]) < key) ++d;
+    const bool wanted = d < desired.size() && instanceKey(*desired[d]) == key;
+    if (wanted && !ex.duplicate) continue;
+    const VmId vm = ex.vm;
     if (!hosts_.vmExists(vm)) continue;
     if (hosts_.vm(vm).state == VmState::Migrating) continue;
     // Freshly created instances (e.g. a cross-pod deployment, §IV-D)
@@ -331,7 +380,7 @@ void PodManager::applyAssignment(const PlacementInput& input,
         options_.youngVmGraceSeconds) {
       continue;
     }
-    const AppId app = appIds[key.first];
+    const AppId app = appIds[key >> 32];
     apps_.removeInstance(app, vm);
     lastWeight_.erase(vm);
     // Destroy only after the switch tables stop referencing the VM;
@@ -378,7 +427,7 @@ void PodManager::crash() {
   // The process's soft state is gone.  Resident VMs (HostFleet) and the
   // intended RIP weights (IntentJournal) are the durable state a restart
   // rebuilds from.
-  demand_.clear();
+  clearAppDemand();
   lastWeight_.clear();
   vacating_.clear();
 }

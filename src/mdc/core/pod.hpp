@@ -81,11 +81,7 @@ class PodManager {
   struct Options {
     SimTime controlPeriod = 10.0;
     double headroom = 1.2;          // slice sizing slack over demand
-    double overloadUtilization = 0.85;
     bool useFastClone = true;
-    /// Decision-time budget; beyond it the pod manager reports itself
-    /// overloaded (the "more subtle issue" of §III-A).
-    double decisionBudgetSeconds = 1.0;
     /// Relative change below which VM slices / RIP weights are left
     /// alone, to keep control-plane churn bounded.
     double resizeDeadband = 0.15;
@@ -116,6 +112,8 @@ class PodManager {
 
   /// Begins vacating a server: its VMs are migrated to other servers of
   /// this pod; when empty, `onEmpty` fires (the donor side of §IV-C).
+  /// A target that hosts no instance of the VM's app is preferred, so a
+  /// migration does not land a second instance of an app on one server.
   /// Returns false if the pod lacks capacity to absorb the VMs.
   bool vacateServer(ServerId server, std::function<void(ServerId)> onEmpty);
 
@@ -182,7 +180,13 @@ class PodManager {
   void applyAssignment(const PlacementInput& input,
                        const PlacementResult& result,
                        const std::vector<AppId>& appIds,
-                       const std::vector<ServerId>& serverIds);
+                       const std::vector<ServerId>& serverIds,
+                       const std::vector<VmId>& currentVms);
+  [[nodiscard]] double demandOf(AppId app) const {
+    return app.index() < demand_.size() && demand_[app.index()] >= 0.0
+               ? demand_[app.index()]
+               : 0.0;
+  }
   void updateStats(const PlacementResult& result);
   /// True when `vm` is still listed as an instance of `app` (VMs pending
   /// retirement are detached first and must not be re-managed).
@@ -198,7 +202,13 @@ class PodManager {
   RipRequestSink& rips_;
   Options options_;
 
-  std::unordered_map<AppId, double> demand_;
+  /// This epoch's demand by app index (negative = not reported) and the
+  /// apps reported, in report order.
+  std::vector<double> demand_;
+  std::vector<AppId> demandApps_;
+  /// Control-round scratch: app index -> placement index + 1 (0 = not
+  /// interned); all zero between rounds.
+  std::vector<std::uint32_t> appSlot_;
   std::unordered_map<VmId, double> lastWeight_;
   std::unordered_set<ServerId> vacating_;
   bool online_ = true;

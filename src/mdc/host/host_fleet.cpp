@@ -37,10 +37,10 @@ Result<VmId> HostFleet::createVm(AppId app, ServerId server, CapacityVec slice,
     return Error{"insufficient_capacity", ""};
   }
 
-  const VmId id = vmIds_.next();
+  const VmId id{static_cast<VmId::value_type>(vms_.size())};
   st.used += slice;
   st.vms.push_back(id);
-  VmRecord rec;
+  VmRecord& rec = vms_.emplace_back();
   rec.id = id;
   rec.app = app;
   rec.server = server;
@@ -48,7 +48,6 @@ Result<VmId> HostFleet::createVm(AppId app, ServerId server, CapacityVec slice,
   rec.effectiveSlice = CapacityVec{};  // serves nothing until active
   rec.state = VmState::Booting;
   rec.createdAt = sim_.now();
-  vms_.emplace(id, rec);
   bumpVm(id);
   ++liveVms_;
   ++created_;
@@ -56,12 +55,10 @@ Result<VmId> HostFleet::createVm(AppId app, ServerId server, CapacityVec slice,
   const SimTime latency =
       clone ? costs_.vmCloneSeconds : costs_.vmBootSeconds;
   sim_.after(latency, [this, id, cb = std::move(onActive)] {
-    const auto it = vms_.find(id);
-    if (it == vms_.end() || it->second.state == VmState::Destroyed) {
-      return;  // destroyed while booting
-    }
-    it->second.state = VmState::Active;
-    it->second.effectiveSlice = it->second.slice;
+    VmRecord& r = *findVm(id);
+    if (r.state == VmState::Destroyed) return;  // destroyed while booting
+    r.state = VmState::Active;
+    r.effectiveSlice = r.slice;
     if (cb) cb(id);
   });
   return id;
@@ -70,9 +67,9 @@ Result<VmId> HostFleet::createVm(AppId app, ServerId server, CapacityVec slice,
 Status HostFleet::adjustVmCapacity(VmId vmId, CapacityVec newSlice,
                                    VmCallback onDone) {
   MDC_EXPECT(newSlice.nonNegative(), "adjust: negative slice");
-  const auto it = vms_.find(vmId);
-  MDC_EXPECT(it != vms_.end(), "adjust: unknown vm");
-  VmRecord& rec = it->second;
+  VmRecord* found = findVm(vmId);
+  MDC_EXPECT(found != nullptr, "adjust: unknown vm");
+  VmRecord& rec = *found;
   if (rec.state != VmState::Active) return Status::fail("vm_not_active");
 
   ServerState& st = serverState(rec.server);
@@ -92,12 +89,8 @@ Status HostFleet::adjustVmCapacity(VmId vmId, CapacityVec newSlice,
 
   sim_.after(costs_.capacityAdjustSeconds,
              [this, vmId, newSlice, cb = std::move(onDone)] {
-               const auto vit = vms_.find(vmId);
-               if (vit == vms_.end() ||
-                   vit->second.state == VmState::Destroyed) {
-                 return;
-               }
-               VmRecord& r = vit->second;
+               VmRecord& r = *findVm(vmId);
+               if (r.state == VmState::Destroyed) return;
                ServerState& s = serverState(r.server);
                s.used -= r.slice - newSlice;
                r.slice = newSlice;
@@ -108,9 +101,9 @@ Status HostFleet::adjustVmCapacity(VmId vmId, CapacityVec newSlice,
 }
 
 Status HostFleet::migrateVm(VmId vmId, ServerId dst, VmCallback onDone) {
-  const auto it = vms_.find(vmId);
-  MDC_EXPECT(it != vms_.end(), "migrate: unknown vm");
-  VmRecord& rec = it->second;
+  VmRecord* found = findVm(vmId);
+  MDC_EXPECT(found != nullptr, "migrate: unknown vm");
+  VmRecord& rec = *found;
   if (rec.state != VmState::Active) return Status::fail("vm_not_active");
   if (rec.server == dst) return Status::fail("same_server");
 
@@ -131,12 +124,10 @@ Status HostFleet::migrateVm(VmId vmId, ServerId dst, VmCallback onDone) {
   const SimTime duration = memGb * 8.0 / costs_.migrationGbps;
   const ServerId src = rec.server;
   sim_.after(duration, [this, vmId, src, dst, seq, cb = std::move(onDone)] {
-    const auto vit = vms_.find(vmId);
-    if (vit == vms_.end() || vit->second.state == VmState::Destroyed ||
-        vit->second.migrationSeq != seq) {
+    VmRecord& r = *findVm(vmId);
+    if (r.state == VmState::Destroyed || r.migrationSeq != seq) {
       return;  // destroyed mid-flight, or the move was cancelled by a crash
     }
-    VmRecord& r = vit->second;
     ServerState& srcState = serverState(src);
     srcState.used -= r.slice;
     detachFromServer(vmId, src);
@@ -149,9 +140,9 @@ Status HostFleet::migrateVm(VmId vmId, ServerId dst, VmCallback onDone) {
 }
 
 void HostFleet::destroyVm(VmId vmId) {
-  const auto it = vms_.find(vmId);
-  MDC_EXPECT(it != vms_.end(), "destroy: unknown vm");
-  VmRecord& rec = it->second;
+  VmRecord* found = findVm(vmId);
+  MDC_EXPECT(found != nullptr, "destroy: unknown vm");
+  VmRecord& rec = *found;
   MDC_EXPECT(rec.state != VmState::Destroyed, "destroy: vm already destroyed");
 
   // Free the current server's reservation; a mid-migration VM also holds a
@@ -187,9 +178,9 @@ std::size_t HostFleet::crashServer(ServerId server) {
   const std::vector<VmId> attached = st.vms;  // mutated below; iterate a copy
   std::size_t killed = 0;
   for (VmId vmId : attached) {
-    const auto it = vms_.find(vmId);
-    MDC_ENSURE(it != vms_.end(), "attached vm has no record");
-    VmRecord& rec = it->second;
+    VmRecord* found = findVm(vmId);
+    MDC_ENSURE(found != nullptr, "attached vm has no record");
+    VmRecord& rec = *found;
     if (rec.server != server) {
       // In-flight migration *into* this server: only the destination copy
       // dies; the VM keeps serving on its source.  Cancel the move.
@@ -238,30 +229,20 @@ void HostFleet::detachFromServer(VmId vmId, ServerId server) {
 }
 
 void HostFleet::forEachVm(const std::function<void(VmRecord&)>& fn) {
-  for (auto& [id, rec] : vms_) {
+  for (VmRecord& rec : vms_) {
     if (rec.state != VmState::Destroyed) fn(rec);
   }
 }
 
-const VmRecord& HostFleet::vm(VmId id) const {
-  const auto it = vms_.find(id);
-  MDC_EXPECT(it != vms_.end(), "unknown vm");
-  return it->second;
-}
-
-VmRecord& HostFleet::vmMutable(VmId id) {
-  const auto it = vms_.find(id);
-  MDC_EXPECT(it != vms_.end(), "unknown vm");
-  return it->second;
-}
-
-bool HostFleet::vmExists(VmId id) const {
-  const auto it = vms_.find(id);
-  return it != vms_.end() && it->second.state != VmState::Destroyed;
-}
-
 const std::vector<VmId>& HostFleet::vmsOn(ServerId server) const {
   return serverState(server).vms;
+}
+
+bool HostFleet::hostsApp(ServerId server, AppId app) const {
+  for (VmId vm : serverState(server).vms) {
+    if (vmExists(vm) && this->vm(vm).app == app) return true;
+  }
+  return false;
 }
 
 CapacityVec HostFleet::usedCapacity(ServerId server) const {

@@ -12,12 +12,14 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "mdc/sim/simulation.hpp"
 #include "mdc/topo/topology.hpp"
+#include "mdc/util/expect.hpp"
 #include "mdc/util/ids.hpp"
 #include "mdc/util/result.hpp"
 #include "mdc/util/units.hpp"
@@ -129,9 +131,21 @@ class HostFleet {
 
   // --- queries ------------------------------------------------------------
 
-  [[nodiscard]] const VmRecord& vm(VmId id) const;
-  [[nodiscard]] VmRecord& vmMutable(VmId id);
-  [[nodiscard]] bool vmExists(VmId id) const;
+  [[nodiscard]] const VmRecord& vm(VmId id) const {
+    const VmRecord* rec = findVm(id);
+    MDC_EXPECT(rec != nullptr, "unknown vm");
+    return *rec;
+  }
+  [[nodiscard]] VmRecord& vmMutable(VmId id) {
+    VmRecord* rec = findVm(id);
+    MDC_EXPECT(rec != nullptr, "unknown vm");
+    return *rec;
+  }
+  /// True for a created VM that is not destroyed.
+  [[nodiscard]] bool vmExists(VmId id) const noexcept {
+    const VmRecord* rec = findVm(id);
+    return rec != nullptr && rec->state != VmState::Destroyed;
+  }
 
   /// Monotonic per-VM version covering the facts the epoch descent
   /// resolves through a RIP: the VM's existence and its host server.
@@ -151,6 +165,9 @@ class HostFleet {
   }
 
   [[nodiscard]] const std::vector<VmId>& vmsOn(ServerId server) const;
+  /// True when a live VM of `app` is attached to `server` (an inbound
+  /// migration counts).
+  [[nodiscard]] bool hostsApp(ServerId server, AppId app) const;
   [[nodiscard]] CapacityVec usedCapacity(ServerId server) const;
   [[nodiscard]] CapacityVec freeCapacity(ServerId server) const;
 
@@ -164,8 +181,8 @@ class HostFleet {
     return servers_.size();
   }
 
-  /// Visits every non-destroyed VM (mutable; used by the fluid engine to
-  /// reset per-epoch gauges).
+  /// Visits every non-destroyed VM in id order (mutable; used to reset
+  /// per-epoch gauges).
   void forEachVm(const std::function<void(VmRecord&)>& fn);
 
   // --- operation counters (disruption accounting for E6) -----------------
@@ -188,6 +205,14 @@ class HostFleet {
     bool up = true;
   };
 
+  /// The record of an allocated id (destroyed or not); nullptr otherwise.
+  [[nodiscard]] VmRecord* findVm(VmId id) noexcept {
+    return id.index() < vms_.size() ? &vms_[id.index()] : nullptr;
+  }
+  [[nodiscard]] const VmRecord* findVm(VmId id) const noexcept {
+    return id.index() < vms_.size() ? &vms_[id.index()] : nullptr;
+  }
+
   ServerState& serverState(ServerId id);
   const ServerState& serverState(ServerId id) const;
   void detachFromServer(VmId vm, ServerId server);
@@ -197,9 +222,12 @@ class HostFleet {
   Simulation& sim_;
   HostCostModel costs_;
   std::vector<ServerState> servers_;
-  std::unordered_map<VmId, VmRecord> vms_;
+  /// Indexed by VmId::index(): ids are dense and never reused, and
+  /// destroyed records are kept.  A deque because a record must never move
+  /// once created: the fluid engine holds VmRecord* across epochs while
+  /// pod loops create VMs between them.
+  std::deque<VmRecord> vms_;
   std::vector<std::uint64_t> vmVersions_;
-  IdAllocator<VmId> vmIds_;
   std::size_t liveVms_ = 0;
   std::uint64_t created_ = 0;
   std::uint64_t migrations_ = 0;

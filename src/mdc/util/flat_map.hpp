@@ -1,4 +1,5 @@
-// A sorted-vector map for the epoch report's per-app / per-VIP series.
+// A sorted-vector map for the epoch report's per-app / per-VIP series
+// (and other id-keyed maps that want a deterministic order).
 //
 // EpochReport used std::unordered_map for its id -> double aggregates,
 // which made every epoch pay for node allocations, rehashing, and —
@@ -9,9 +10,9 @@
 // a binary search over contiguous memory, iteration IS the canonical
 // key order, and equality is a memcmp-shaped vector compare.
 //
-// The interface is the subset of std::map the report's consumers use:
-// operator[], at, find, count, contains, empty, size, begin/end,
-// reserve, clear, ==.  Iterators are pairs (first/second), so range-for
+// The interface is the subset of std::map its users need: operator[],
+// at, find, count, contains, erase, empty, size, begin/end, reserve,
+// clear, ==.  Iterators are pairs (first/second), so range-for
 // destructuring over a FlatMap reads identically to a std::map.
 #pragma once
 
@@ -73,6 +74,12 @@ class FlatMap {
   [[nodiscard]] const_iterator find(const K& key) const {
     const const_iterator it = lowerBound(key);
     return it != items_.end() && it->first == key ? it : items_.end();
+  }
+
+  /// Removes `key` if present.
+  void erase(const K& key) {
+    const iterator it = find(key);
+    if (it != items_.end()) items_.erase(it);
   }
 
   [[nodiscard]] std::size_t count(const K& key) const {

@@ -344,6 +344,45 @@ TEST(InterPodBalancerTest, DeploymentTargetsUnservedApp) {
   EXPECT_TRUE(found);
 }
 
+// The clone goes to the emptiest fitting cold server that does not host
+// the app yet: a second instance of the app on one server would only be
+// retired by that pod's control loop.
+TEST(InterPodBalancerTest, DeploymentSkipsServerHostingTheApp) {
+  PodFixture f;
+  PodManager& hot = f.makePod({ServerId{0}});
+  f.makePod({ServerId{1}, ServerId{2}});
+  const AppId app = f.makeAppWithVips(1);
+  const AppId other = f.apps.create("b", AppSla{}, 100.0);
+  const auto vm =
+      f.hosts.createVm(app, ServerId{0}, CapacityVec{7.0, 28.0, 0.9});
+  ASSERT_TRUE(vm.ok());
+  f.apps.addInstance(app, vm.value());
+  // Server 1 is the emptier cold server, but it already hosts the app.
+  ASSERT_TRUE(
+      f.hosts.createVm(app, ServerId{1}, CapacityVec{1.0, 2.0, 0.05}).ok());
+  ASSERT_TRUE(
+      f.hosts.createVm(other, ServerId{2}, CapacityVec{2.0, 4.0, 0.1}).ok());
+  f.sim.runUntil(70.0);
+  hot.setAppDemand(app, 14'000.0);
+  hot.runControlLoop();
+
+  InterPodBalancer::Options opt;
+  opt.overloadUtilization = 0.8;
+  opt.underloadUtilization = 0.6;
+  opt.enableRipWeight = opt.enableServerTransfer = false;
+  opt.enableElephantAvoidance = false;
+  f.makeBalancer(opt);
+
+  EpochReport r;
+  r.appDemandRps[app] = 14'000.0;
+  r.appServedRps[app] = 7'000.0;
+  f.balancer->observe(r);
+  f.balancer->runOnce();
+  EXPECT_EQ(f.balancer->deployActions(), 1u);
+  EXPECT_EQ(f.hosts.vmsOn(ServerId{1}).size(), 1u);
+  EXPECT_EQ(f.hosts.vmsOn(ServerId{2}).size(), 2u);
+}
+
 TEST(InterPodBalancerTest, DeployCooldownLimitsChurn) {
   PodFixture f;
   PodManager& hot = f.makePod({ServerId{0}});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "mdc/host/host_fleet.hpp"
 #include "mdc/topo/topology.hpp"
@@ -218,6 +219,48 @@ TEST(HostFleet, DoubleDestroyThrows) {
   const auto r = f.fleet.createVm(kApp, ServerId{0}, slice());
   f.fleet.destroyVm(r.value());
   EXPECT_THROW(f.fleet.destroyVm(r.value()), PreconditionError);
+}
+
+// Records are slot-stored by id: a VmRecord* stays valid while the fleet
+// grows (the fluid engine keeps such pointers across epochs), and a
+// destroyed VM's record stays readable.
+TEST(HostFleet, VmRecordsKeepTheirAddressAndOutliveDestruction) {
+  Fixture f;
+  const auto first = f.fleet.createVm(kApp, ServerId{0}, slice());
+  ASSERT_TRUE(first.ok());
+  const VmRecord* record = &f.fleet.vm(first.value());
+  std::vector<VmId> more;
+  for (int i = 0; i < 5000; ++i) {
+    const auto r = f.fleet.createVm(
+        AppId{static_cast<AppId::value_type>(i % 7)},
+        ServerId{static_cast<ServerId::value_type>(1 + i % 3)},
+        slice(0.001, 0.001, 0.0001));
+    ASSERT_TRUE(r.ok());
+    more.push_back(r.value());
+  }
+  EXPECT_EQ(&f.fleet.vm(first.value()), record);
+  EXPECT_EQ(record->id, first.value());
+  EXPECT_EQ(record->server, ServerId{0});
+  EXPECT_EQ(f.fleet.vmIndexBound(), 5001u);
+  EXPECT_EQ(more.back(), VmId{5000});
+
+  f.fleet.destroyVm(first.value());
+  f.fleet.destroyVm(more[1234]);
+  EXPECT_FALSE(f.fleet.vmExists(first.value()));
+  EXPECT_FALSE(f.fleet.vmExists(more[1234]));
+  EXPECT_TRUE(f.fleet.vmExists(more[1235]));
+  EXPECT_EQ(&f.fleet.vm(first.value()), record);
+  EXPECT_EQ(record->state, VmState::Destroyed);
+  EXPECT_EQ(f.fleet.vm(more[1234]).app, AppId{1234 % 7});
+  EXPECT_EQ(f.fleet.activeVmCount(), 4999u);
+  std::size_t visited = 0;
+  f.fleet.forEachVm([&](VmRecord&) { ++visited; });
+  EXPECT_EQ(visited, 4999u);
+
+  // A never-allocated id is not a VM.
+  EXPECT_FALSE(f.fleet.vmExists(VmId{5001}));
+  EXPECT_FALSE(f.fleet.vmExists(VmId{}));
+  EXPECT_THROW((void)f.fleet.vm(VmId{5001}), PreconditionError);
 }
 
 }  // namespace

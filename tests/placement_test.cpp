@@ -1,6 +1,7 @@
 // Unit and property tests for the placement algorithms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -45,6 +46,43 @@ TEST(FirstFitPlacement, OverloadLeavesUnsatisfiedDemand) {
   validatePlacement(in, r);
   EXPECT_LT(r.satisfiedRps, r.demandRps);
   EXPECT_GT(r.satisfiedRps, 0.0);
+}
+
+// Churn counts instances as (app, server) pairs: duplicate `current`
+// entries are one instance, zero-rps entries are none.
+TEST(FirstFitPlacement, ChurnCountsDistinctLiveInstances) {
+  PlacementInput in = uniformInput(2, 2, 0.0);
+  in.apps[0].demandRps = 2000.0;
+  in.apps[1].demandRps = 1000.0;
+  // First fit puts both apps on server 0: after = {(0,0), (1,0)}.
+  in.current = {Assignment{0, 0, 10.0}, Assignment{0, 1, 5.0},
+                Assignment{1, 0, 0.0}, Assignment{0, 0, 20.0},
+                Assignment{1, 1, 0.0}};
+  // before = {(0,0), (0,1)}: (1,0) starts, (0,1) stops.
+  const auto r = FirstFitPlacement{}.place(in);
+  ASSERT_EQ(r.assignment.size(), 2u);
+  EXPECT_EQ(r.instancesStarted, 1u);
+  EXPECT_EQ(r.instancesStopped, 1u);
+
+  // Order of `current` does not matter; an all-zero current is empty.
+  std::reverse(in.current.begin(), in.current.end());
+  const auto reversed = FirstFitPlacement{}.place(in);
+  EXPECT_EQ(reversed.instancesStarted, 1u);
+  EXPECT_EQ(reversed.instancesStopped, 1u);
+  in.current = {Assignment{1, 1, 0.0}, Assignment{1, 1, 0.0}};
+  const auto fresh = FirstFitPlacement{}.place(in);
+  EXPECT_EQ(fresh.instancesStarted, 2u);
+  EXPECT_EQ(fresh.instancesStopped, 0u);
+
+  // No demand left: every distinct live instance stops.
+  in.apps[0].demandRps = 0.0;
+  in.apps[1].demandRps = 0.0;
+  in.current = {Assignment{0, 0, 10.0}, Assignment{0, 0, 20.0},
+                Assignment{1, 1, 3.0}, Assignment{1, 0, 0.0}};
+  const auto drained = FirstFitPlacement{}.place(in);
+  EXPECT_TRUE(drained.assignment.empty());
+  EXPECT_EQ(drained.instancesStarted, 0u);
+  EXPECT_EQ(drained.instancesStopped, 2u);
 }
 
 TEST(PlacementController, SatisfiesFeasibleDemand) {
