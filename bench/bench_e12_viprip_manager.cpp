@@ -11,42 +11,20 @@
 // (and the E12a headline number) now lives in bench_e18_command_plane.
 #include <iostream>
 
-#include "mdc/core/viprip_manager.hpp"
+#include "common/viprip_world.hpp"
 #include "mdc/metrics/table.hpp"
 
 namespace {
 
-struct World {
-  mdc::Simulation sim;
-  mdc::Topology topo;
-  mdc::SwitchFleet fleet;
-  mdc::AuthoritativeDns dns;
-  mdc::RouteRegistry routes{30.0};
-  mdc::AppRegistry apps;
-  mdc::VipRipManager viprip;
-
-  static mdc::TopologyConfig topoConfig() {
-    mdc::TopologyConfig cfg;
-    cfg.numServers = 8;
-    cfg.numIsps = 4;
-    cfg.numSwitches = 8;
-    return cfg;
-  }
-
-  explicit World(mdc::SimTime reconfigSeconds)
-      : topo(topoConfig()),
-        viprip(sim, fleet, dns, routes, apps, topo,
-               [&] {
-                 mdc::VipRipManager::Options o;
-                 o.processSeconds = 0.5;
-                 o.reconfigSeconds = reconfigSeconds;
-                 // The serialized baseline: batching moved to E18.
-                 o.admission.pipelined = false;
-                 return o;
-               }()) {
-    for (int i = 0; i < 8; ++i) fleet.addSwitch(mdc::SwitchLimits{});
-  }
-};
+/// The paper's serialized queue (batching moved to E18): a 0.5 s
+/// decision per request plus `reconfigSeconds` of switch reconfiguration.
+mdc::VipRipManager::Options serialized(mdc::SimTime reconfigSeconds) {
+  mdc::VipRipManager::Options o;
+  o.processSeconds = 0.5;
+  o.reconfigSeconds = reconfigSeconds;
+  o.admission.pipelined = false;
+  return o;
+}
 
 }  // namespace
 
@@ -58,7 +36,7 @@ int main() {
           {"offered req/s", "sustained req/s", "final queue", "p50 latency s",
            "p99 latency s"}};
   for (double rate : {0.5, 1.0, 1.5, 2.0, 3.0, 5.0}) {
-    World w{3.0};
+    bench::VipRipWorld w{serialized(3.0), SwitchLimits{}};
     const AppId app = w.apps.create("a", AppSla{}, 1.0);
     (void)w.viprip.createVipNow(app);
     for (std::uint32_t v = 0; v < 200; ++v) {
@@ -96,7 +74,7 @@ int main() {
           {"distinct VMs", "updates submitted", "requests applied",
            "final queue"}};
   for (std::uint32_t vms : {10u, 50u, 200u}) {
-    World w{1.0};
+    bench::VipRipWorld w{serialized(1.0), SwitchLimits{}};
     const AppId app = w.apps.create("a", AppSla{}, 1.0);
     (void)w.viprip.createVipNow(app);
     for (std::uint32_t v = 0; v < vms; ++v) {
@@ -130,7 +108,7 @@ int main() {
   Table p{"E12c: priorities under backlog",
           {"priority", "mean latency s"}};
   {
-    World w{1.0};
+    bench::VipRipWorld w{serialized(1.0), SwitchLimits{}};
     const AppId app = w.apps.create("a", AppSla{}, 1.0);
     (void)w.viprip.createVipNow(app);
     for (std::uint32_t v = 0; v < 100; ++v) {

@@ -14,23 +14,20 @@
 // counts, repair delays — so any run can be reproduced bit-identically
 // from the artifact alone.
 //
-// Flags:
-//   --smoke           small fixed cells only (CI); seconds, not minutes
-//   --out FILE        write machine-readable JSON (default BENCH_E16.json)
-//   --baseline FILE   compare smoke checks against a previous JSON; exit
-//                     non-zero on a >30% regression
-//   --trace FILE      run the storm smoke cell with causal tracing on and
-//                     dump the span trace as JSONL
-//   --metrics FILE    dump the storm smoke cell's metrics registry as
-//                     JSONL after quiesce
+// Flags (bench/common/harness.hpp): --smoke (small fixed cells; seconds,
+// not minutes), --out FILE (default BENCH_E16.json), --baseline FILE
+// (fail on a >30% storm epochs/sec regression), plus --trace FILE (run
+// the storm smoke cell traced and dump its spans as JSONL) and
+// --metrics FILE (dump that cell's metrics registry as JSONL after
+// quiesce).
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/harness.hpp"
 #include "mdc/fault/chaos.hpp"
 #include "mdc/metrics/table.hpp"
 #include "mdc/obs/export.hpp"
@@ -189,70 +186,37 @@ CellResult runCell(const std::string& mode, std::uint32_t numApps,
   return r;
 }
 
-void appendJson(std::ostringstream& out, const CellResult& r, bool last) {
-  out << "    {\"mode\": \"" << r.mode << "\", \"apps\": " << r.numApps
-      << ", \"epochs_per_sec\": " << r.epochsPerSec
-      << ", \"p50_ms\": " << r.p50Ms << ", \"p99_ms\": " << r.p99Ms
-      << ", \"epochs\": " << r.epochs
-      << ", \"epoch_violations\": " << r.epochViolations
-      << ", \"failovers\": " << r.failovers
-      << ", \"max_leaderless_run\": " << r.maxLeaderlessRun
-      << ", \"recovery_epochs\": " << r.recoveryEpochs
-      << ", \"quiesced\": " << (r.quiesced ? "true" : "false")
-      << ", \"faults_injected\": " << r.faultsInjected
-      << ", \"repairs_applied\": " << r.repairsApplied
-      << ",\n     \"fault_seed\": " << r.faultSeed
-      << ", \"storm_seed\": " << r.stormSeed << ", \"storm_waves\": [";
-  for (std::size_t i = 0; i < r.stormWaves.size(); ++i) {
-    const FaultInjector::RandomPlan& w = r.stormWaves[i];
-    out << (i ? ", " : "") << "{\"start\": " << w.start
-        << ", \"end\": " << w.end
-        << ", \"switch_crashes\": " << w.switchCrashes
-        << ", \"server_crashes\": " << w.serverCrashes
-        << ", \"link_cuts\": " << w.linkCuts
-        << ", \"pod_outages\": " << w.podOutages
-        << ", \"channel_partitions\": " << w.channelPartitions
-        << ", \"pod_manager_crashes\": " << w.podManagerCrashes
-        << ", \"global_manager_crashes\": " << w.globalManagerCrashes
-        << ", \"repair_after\": " << w.repairAfter << "}";
-  }
-  out << "]}" << (last ? "\n" : ",\n");
-}
-
-/// Hand-rolled scalar extraction: finds `"key": <number>` in a JSON blob.
-double extractNumber(const std::string& json, const std::string& key) {
-  const auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + pos + key.size() + 3, nullptr);
+bench::Json runJson(const CellResult& r) {
+  const auto wave = [](const FaultInjector::RandomPlan& w) -> bench::Json {
+    return {{"start", w.start}, {"end", w.end},
+            {"switch_crashes", w.switchCrashes},
+            {"server_crashes", w.serverCrashes}, {"link_cuts", w.linkCuts},
+            {"pod_outages", w.podOutages},
+            {"channel_partitions", w.channelPartitions},
+            {"pod_manager_crashes", w.podManagerCrashes},
+            {"global_manager_crashes", w.globalManagerCrashes},
+            {"repair_after", w.repairAfter}};
+  };
+  return {{"mode", r.mode}, {"apps", r.numApps},
+          {"epochs_per_sec", r.epochsPerSec}, {"p50_ms", r.p50Ms},
+          {"p99_ms", r.p99Ms}, {"epochs", r.epochs},
+          {"epoch_violations", r.epochViolations},
+          {"failovers", r.failovers},
+          {"max_leaderless_run", r.maxLeaderlessRun},
+          {"recovery_epochs", r.recoveryEpochs}, {"quiesced", r.quiesced},
+          {"faults_injected", r.faultsInjected},
+          {"repairs_applied", r.repairsApplied}, {"fault_seed", r.faultSeed},
+          {"storm_seed", r.stormSeed},
+          {"storm_waves", bench::Json::array(r.stormWaves, wave)}};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string outFile = "BENCH_E16.json";
-  std::string baselineFile;
-  std::string traceFile;
-  std::string metricsFile;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      outFile = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baselineFile = argv[++i];
-    } else if (arg == "--trace" && i + 1 < argc) {
-      traceFile = argv[++i];
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metricsFile = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--smoke] [--out FILE] [--baseline FILE]"
-                   " [--trace FILE] [--metrics FILE]\n";
-      return 2;
-    }
-  }
+  const auto args = bench::parseArgs(
+      argc, argv, {"BENCH_E16.json", {}, {"--trace", "--metrics"}});
+  if (!args) return 2;
+  const bool smoke = args->smoke;
 
   std::vector<CellResult> results;
   Table table{"E16: epochs/sec and recovery under chaos storms",
@@ -273,7 +237,8 @@ int main(int argc, char** argv) {
   // against the committed full-run artifact apples-to-apples.
   constexpr std::uint32_t kSmokeApps = 2000;
   record(runCell("calm", kSmokeApps, /*smoke=*/true));
-  record(runCell("storm", kSmokeApps, /*smoke=*/true, traceFile, metricsFile));
+  record(runCell("storm", kSmokeApps, /*smoke=*/true, args->file("--trace"),
+                 args->file("--metrics")));
   const double smokeCalm = results[0].epochsPerSec;
   const double smokeStorm = results[1].epochsPerSec;
 
@@ -289,58 +254,30 @@ int main(int argc, char** argv) {
                " leaderless runs stay within the lease+watch bound; every"
                " cell quiesces to intent==actual\n";
 
-  bool healthy = true;
+  int status = 0;  // 1 once any gate failed
   for (const CellResult& r : results) {
     if (r.epochViolations > 0) {
-      std::cerr << "FAIL: " << r.epochViolations
-                << " invariant violations in " << r.mode << "/" << r.numApps
-                << " (replay: fault_seed=" << r.faultSeed << ")\n";
-      healthy = false;
+      status = bench::fail(r.epochViolations, " invariant violations in ",
+                           r.mode, "/", r.numApps,
+                           " (replay: fault_seed=", r.faultSeed, ")");
     }
     if (!r.quiesced) {
-      std::cerr << "FAIL: " << r.mode << "/" << r.numApps
-                << " never quiesced\n";
-      healthy = false;
+      status = bench::fail(r.mode, "/", r.numApps, " never quiesced");
     }
   }
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"e16_chaos\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    appendJson(json, results[i], i + 1 == results.size());
-  }
-  json << "  ],\n  \"checks\": {\n"
-       << "    \"smoke_apps\": " << kSmokeApps << ",\n"
-       << "    \"smoke_calm_epochs_per_sec\": " << smokeCalm << ",\n"
-       << "    \"smoke_storm_epochs_per_sec\": " << smokeStorm << ",\n"
-       << "    \"smoke_storm_over_calm_ratio\": " << smokeStorm / smokeCalm
-       << ",\n"
-       << "    \"invariants_clean\": " << (healthy ? "true" : "false")
-       << "\n  }\n}\n";
+  bench::Json doc = bench::report("e16_chaos", smoke);
+  doc.add("runs", bench::Json::array(results, runJson))
+      .add("checks", {{"smoke_apps", kSmokeApps},
+                      {"smoke_calm_epochs_per_sec", smokeCalm},
+                      {"smoke_storm_epochs_per_sec", smokeStorm},
+                      {"smoke_storm_over_calm_ratio", smokeStorm / smokeCalm},
+                      {"invariants_clean", status == 0}});
+  bench::writeReport(args->out, doc);
+  if (status != 0) return status;
 
-  std::ofstream(outFile) << json.str();
-  std::cout << "\nwrote " << outFile << "\n";
-  if (!healthy) return 1;
-
-  if (!baselineFile.empty()) {
-    std::ifstream in(baselineFile);
-    if (!in) {
-      std::cerr << "FAIL: cannot read baseline " << baselineFile << "\n";
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string base = buf.str();
-    const double baseStorm =
-        extractNumber(base, "smoke_storm_epochs_per_sec");
-    std::cout << "baseline compare: storm epochs/sec " << smokeStorm
-              << " vs " << baseStorm << " (fail below 70% of baseline)\n";
-    if (baseStorm > 0.0 && smokeStorm < 0.7 * baseStorm) {
-      std::cerr << "FAIL: storm epochs/sec regressed >30% vs baseline\n";
-      return 1;
-    }
-  }
-  return 0;
+  return bench::baselineGates(*args, [&](const bench::Baseline& base) {
+    return base.requireAtLeast("smoke_storm_epochs_per_sec", smokeStorm, 0.7,
+                               "storm epochs/sec");
+  });
 }

@@ -16,25 +16,18 @@
 // The headline check: snapshot+tail beats cold replay at histories of
 // 10k records and beyond, and the gap widens linearly with N.
 //
-// Flags:
-//   --smoke           small cells only (CI); well under a second
-//   --out FILE        write machine-readable JSON (default BENCH_E17.json)
-//   --baseline FILE   compare smoke checks against a previous JSON; exit
-//                     non-zero on a >30% regression
-#include <algorithm>
-#include <chrono>
+// Flags (bench/common/harness.hpp): --smoke (small cells; well under a
+// second), --out FILE (default BENCH_E17.json), --baseline FILE (fail on
+// a >30% regression of speedup_at_10k).
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/harness.hpp"
 #include "mdc/metrics/table.hpp"
 #include "mdc/sim/rng.hpp"
 #include "mdc/state/state_machine.hpp"
-#include "mdc/util/stats.hpp"
 
 namespace {
 using namespace mdc;
@@ -130,15 +123,12 @@ CellResult runCell(const std::string& mode, std::uint64_t records,
   log.append(recordPayload(rng.nextU64()));
   log.tearTail(rng.nextU64());
 
-  std::vector<double> ms;
+  // One-recovery windows: the kept (lowest-p50) window is the fastest
+  // repeat.
   DurableStateMachine::RecoveryStats stats;
-  for (int rep = 0; rep < repeats; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    stats = machine.recover(now);
-    const auto t1 = std::chrono::steady_clock::now();
-    ms.push_back(1000.0 * std::chrono::duration<double>(t1 - t0).count());
-  }
-  r.recoverMs = *std::min_element(ms.begin(), ms.end());
+  r.recoverMs = bench::bestOfWindows(repeats, 1, [&](std::size_t) {
+                  stats = machine.recover(now);
+                }).p50Ms;
   r.replayedRecords = stats.replayedRecords;
   r.truncatedBytes = stats.truncatedBytes;
   r.usedSnapshot = stats.usedSnapshot;
@@ -152,45 +142,21 @@ CellResult runCell(const std::string& mode, std::uint64_t records,
   return r;
 }
 
-void appendJson(std::ostringstream& out, const CellResult& r, bool last) {
-  out << "    {\"mode\": \"" << r.mode << "\", \"records\": " << r.records
-      << ", \"snapshot_interval\": " << r.interval
-      << ", \"recover_ms\": " << r.recoverMs
-      << ", \"replayed_records\": " << r.replayedRecords
-      << ", \"truncated_bytes\": " << r.truncatedBytes
-      << ", \"used_snapshot\": " << (r.usedSnapshot ? "true" : "false")
-      << ", \"hash_matches\": " << (r.hashMatches ? "true" : "false")
-      << ", \"state_hash\": " << r.stateHash << "}"
-      << (last ? "\n" : ",\n");
-}
-
-/// Hand-rolled scalar extraction: finds `"key": <number>` in a JSON blob.
-double extractNumber(const std::string& json, const std::string& key) {
-  const auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + pos + key.size() + 3, nullptr);
+bench::Json runJson(const CellResult& r) {
+  return {{"mode", r.mode}, {"records", r.records},
+          {"snapshot_interval", r.interval}, {"recover_ms", r.recoverMs},
+          {"replayed_records", r.replayedRecords},
+          {"truncated_bytes", r.truncatedBytes},
+          {"used_snapshot", r.usedSnapshot}, {"hash_matches", r.hashMatches},
+          {"state_hash", r.stateHash}};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string outFile = "BENCH_E17.json";
-  std::string baselineFile;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      outFile = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baselineFile = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--smoke] [--out FILE] [--baseline FILE]\n";
-      return 2;
-    }
-  }
+  const auto args = bench::parseArgs(argc, argv, {"BENCH_E17.json", {}, {}});
+  if (!args) return 2;
+  const bool smoke = args->smoke;
 
   constexpr std::uint64_t kInterval = 512;  // snapshot cadence (records)
   const int repeats = smoke ? 3 : 5;
@@ -224,73 +190,45 @@ int main(int argc, char** argv) {
                " snapshot interval) and wins from 10k records on; both"
                " paths land on the clean-run hash\n";
 
-  bool healthy = true;
+  int status = 0;  // 1 once any gate failed
   double speedup10k = 0.0;
   for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
     const CellResult& cold = results[i];
     const CellResult& snap = results[i + 1];
     if (!cold.hashMatches || !snap.hashMatches) {
-      std::cerr << "FAIL: recovery hash mismatch at " << cold.records
-                << " records\n";
-      healthy = false;
+      status = bench::fail("recovery hash mismatch at ", cold.records,
+                           " records");
     }
     if (cold.stateHash != snap.stateHash) {
-      std::cerr << "FAIL: cold and snapshot recovery disagree at "
-                << cold.records << " records\n";
-      healthy = false;
+      status = bench::fail("cold and snapshot recovery disagree at ",
+                           cold.records, " records");
     }
     // Replay boundedness: the tail is at most one interval (plus the
     // torn record the crash cost).
     if (snap.replayedRecords > kInterval) {
-      std::cerr << "FAIL: snapshot recovery replayed "
-                << snap.replayedRecords << " > interval " << kInterval
-                << "\n";
-      healthy = false;
+      status = bench::fail("snapshot recovery replayed ",
+                           snap.replayedRecords, " > interval ", kInterval);
     }
     if (cold.records >= 10'000) {
       if (speedup10k == 0.0) speedup10k = cold.recoverMs / snap.recoverMs;
       if (snap.recoverMs >= cold.recoverMs) {
-        std::cerr << "FAIL: snapshot+tail (" << snap.recoverMs
-                  << " ms) not beating cold replay (" << cold.recoverMs
-                  << " ms) at " << cold.records << " records\n";
-        healthy = false;
+        status = bench::fail("snapshot+tail (", snap.recoverMs,
+                             " ms) not beating cold replay (", cold.recoverMs,
+                             " ms) at ", cold.records, " records");
       }
     }
   }
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"e17_recovery\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"snapshot_interval\": " << kInterval << ",\n"
-       << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    appendJson(json, results[i], i + 1 == results.size());
-  }
-  json << "  ],\n  \"checks\": {\n"
-       << "    \"speedup_at_10k\": " << speedup10k << ",\n"
-       << "    \"deterministic\": " << (healthy ? "true" : "false")
-       << "\n  }\n}\n";
+  bench::Json doc = bench::report("e17_recovery", smoke);
+  doc.add("snapshot_interval", kInterval)
+      .add("runs", bench::Json::array(results, runJson))
+      .add("checks", {{"speedup_at_10k", speedup10k},
+                      {"deterministic", status == 0}});
+  bench::writeReport(args->out, doc);
+  if (status != 0) return status;
 
-  std::ofstream(outFile) << json.str();
-  std::cout << "\nwrote " << outFile << "\n";
-  if (!healthy) return 1;
-
-  if (!baselineFile.empty()) {
-    std::ifstream in(baselineFile);
-    if (!in) {
-      std::cerr << "FAIL: cannot read baseline " << baselineFile << "\n";
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const double baseSpeedup =
-        extractNumber(buf.str(), "speedup_at_10k");
-    std::cout << "baseline compare: speedup_at_10k " << speedup10k
-              << " vs " << baseSpeedup << " (fail below 70% of baseline)\n";
-    if (baseSpeedup > 0.0 && speedup10k < 0.7 * baseSpeedup) {
-      std::cerr << "FAIL: recovery speedup regressed vs baseline\n";
-      return 1;
-    }
-  }
-  return 0;
+  return bench::baselineGates(*args, [&](const bench::Baseline& base) {
+    return base.requireAtLeast("speedup_at_10k", speedup10k, 0.7,
+                               "recovery speedup_at_10k");
+  });
 }

@@ -28,19 +28,16 @@
 //       epoch, and after quiesce the journal is replayed from durable
 //       state to a bit-identical state hash.
 //
-// Flags:
-//   --smoke           small cells only (CI); seconds, not minutes
-//   --out FILE        write machine-readable JSON (default BENCH_E18.json)
-//   --baseline FILE   compare smoke checks against a previous JSON; exit
-//                     non-zero on a >30% regression
+// Flags (bench/common/harness.hpp): --smoke (small cells; seconds, not
+// minutes), --out FILE (default BENCH_E18.json), --baseline FILE (fail
+// on a >30% regression of the pipelined disjoint speedup).
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/harness.hpp"
+#include "common/viprip_world.hpp"
 #include "mdc/core/viprip_manager.hpp"
 #include "mdc/fault/chaos.hpp"
 #include "mdc/metrics/table.hpp"
@@ -49,37 +46,14 @@
 namespace {
 using namespace mdc;
 
-// --- direct-manager world (the E12 harness, admission-configurable) --------
+// --- direct-manager world (E12's, with roomy switches) ----------------------
 
-struct World {
-  Simulation sim;
-  Topology topo;
-  SwitchFleet fleet;
-  AuthoritativeDns dns;
-  RouteRegistry routes{30.0};
-  AppRegistry apps;
-  VipRipManager viprip;
-
-  static TopologyConfig topoConfig() {
-    TopologyConfig cfg;
-    cfg.numServers = 8;
-    cfg.numIsps = 4;
-    cfg.numSwitches = 8;
-    return cfg;
-  }
-
-  static SwitchLimits bigSwitch() {
-    SwitchLimits lim;
-    lim.maxVips = 4096;
-    lim.maxRips = 100000;
-    return lim;
-  }
-
-  explicit World(VipRipManager::Options o)
-      : topo(topoConfig()), viprip(sim, fleet, dns, routes, apps, topo, o) {
-    for (int i = 0; i < 8; ++i) fleet.addSwitch(bigSwitch());
-  }
-};
+SwitchLimits bigSwitch() {
+  SwitchLimits lim;
+  lim.maxVips = 4096;
+  lim.maxRips = 100000;
+  return lim;
+}
 
 VipRipManager::Options managerOptions(bool pipelined) {
   VipRipManager::Options o;
@@ -115,7 +89,7 @@ ThroughputCell runThroughputCell(bool pipelined, const std::string& workload,
   r.workload = workload;
   r.offered = rate;
 
-  World w{managerOptions(pipelined)};
+  bench::VipRipWorld w{managerOptions(pipelined), bigSwitch()};
   const AppId app = w.apps.create("a", AppSla{}, 1.0);
   (void)w.viprip.createVipNow(app);
 
@@ -170,7 +144,7 @@ ShedCell runShedCell() {
   VipRipManager::Options o = managerOptions(true);
   o.admission.maxQueueDepth = 8;
   o.admission.bulkShare = 0.5;
-  World w{o};
+  bench::VipRipWorld w{o, bigSwitch()};
   const AppId app = w.apps.create("a", AppSla{}, 1.0);
   (void)w.viprip.createVipNow(app);
   for (std::uint32_t v = 0; v < 400; ++v) {
@@ -273,20 +247,17 @@ ChaosCell runChaosCell(bool smoke) {
   dc.faults->commandStorm(sopt.start + 25.0, 96, 4.0);
   dc.faults->crashGlobalManager(sopt.start + 37.0, /*repairAfter=*/15.0);
 
-  while (dc.sim.now() < sopt.end) {
+  const auto judgedEpoch = [&] {
     dc.runUntil(dc.sim.now() + epoch);
     ++r.epochs;
     r.epochViolations += inv.checkEpoch().size();
-  }
+  };
+  while (dc.sim.now() < sopt.end) judgedEpoch();
 
   // Quiesce: heal the channel, drain the backlog, keep judging.
   dc.manager->viprip().ctrlChannel().setFaults(ChannelFaults{});
   for (int round = 0; round < 60 && !r.quiesced; ++round) {
-    for (int e = 0; e < 5; ++e) {
-      dc.runUntil(dc.sim.now() + epoch);
-      ++r.epochs;
-      r.epochViolations += inv.checkEpoch().size();
-    }
+    for (int e = 0; e < 5; ++e) judgedEpoch();
     r.quiesced = inv.checkQuiesced().empty();
   }
 
@@ -308,46 +279,12 @@ ChaosCell runChaosCell(bool smoke) {
   return r;
 }
 
-// --- JSON plumbing ---------------------------------------------------------
-
-void appendThroughputJson(std::ostringstream& out, const ThroughputCell& r,
-                          bool last) {
-  out << "    {\"mode\": \"" << r.mode << "\", \"workload\": \"" << r.workload
-      << "\", \"offered_rps\": " << r.offered
-      << ", \"sustained_rps\": " << r.sustained
-      << ", \"p50_latency_s\": " << r.p50 << ", \"p99_latency_s\": " << r.p99
-      << ", \"processed\": " << r.processed << ", \"rounds\": " << r.rounds
-      << ", \"conflict_deferred\": " << r.deferred
-      << ", \"final_queue\": " << r.finalQueue << "}" << (last ? "\n" : ",\n");
-}
-
-/// Hand-rolled scalar extraction: finds `"key": <number>` in a JSON blob.
-double extractNumber(const std::string& json, const std::string& key) {
-  const auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + pos + key.size() + 3, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string outFile = "BENCH_E18.json";
-  std::string baselineFile;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      outFile = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baselineFile = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--smoke] [--out FILE] [--baseline FILE]\n";
-      return 2;
-    }
-  }
+  const auto args = bench::parseArgs(argc, argv, {"BENCH_E18.json", {}, {}});
+  if (!args) return 2;
+  const bool smoke = args->smoke;
 
   const double duration = smoke ? 60.0 : 300.0;
   std::vector<ThroughputCell> cells;
@@ -410,102 +347,70 @@ int main(int argc, char** argv) {
                " history included)\n";
 
   // --- gates ---------------------------------------------------------------
-  bool healthy = true;
-  double speedupDisjoint = 0.0;
-  double speedupConflicting = 0.0;
-  {
-    const ThroughputCell& sd = cells[0];  // serialized disjoint
-    const ThroughputCell& sc = cells[1];  // serialized conflicting
-    const ThroughputCell& pd = cells[2];  // pipelined disjoint
-    const ThroughputCell& pc = cells[3];  // pipelined conflicting
-    speedupDisjoint =
-        sd.sustained > 0.0 ? pd.sustained / sd.sustained : 0.0;
-    speedupConflicting =
-        sc.sustained > 0.0 ? pc.sustained / sc.sustained : 0.0;
-    if (speedupDisjoint < 3.0) {
-      std::cerr << "FAIL: pipelined disjoint speedup " << speedupDisjoint
-                << " < 3.0\n";
-      healthy = false;
-    }
+  int status = 0;  // 1 once any gate failed
+  // cells: serialized {disjoint, conflicting}, then pipelined {same}.
+  const auto speedup = [&](std::size_t workload) {
+    const double serialized = cells[workload].sustained;
+    return serialized > 0.0 ? cells[workload + 2].sustained / serialized : 0.0;
+  };
+  const double speedupDisjoint = speedup(0);
+  const double speedupConflicting = speedup(1);
+  if (speedupDisjoint < 3.0) {
+    status = bench::fail("pipelined disjoint speedup ", speedupDisjoint,
+                         " < 3.0");
   }
   const bool sheddingOk = shed.criticalShed == 0 && shed.bulkShed > 0 &&
                           shed.criticalCompleted == shed.criticalSubmitted;
   if (!sheddingOk) {
-    std::cerr << "FAIL: shedding correctness (critical shed="
-              << shed.criticalShed << ", bulk shed=" << shed.bulkShed
-              << ", critical " << shed.criticalCompleted << "/"
-              << shed.criticalSubmitted << ")\n";
-    healthy = false;
+    status = bench::fail("shedding correctness (critical shed=",
+                         shed.criticalShed, ", bulk shed=", shed.bulkShed,
+                         ", critical ", shed.criticalCompleted, "/",
+                         shed.criticalSubmitted, ")");
   }
   if (chaos.epochViolations != 0 || !chaos.quiesced || !chaos.hashMatch ||
       chaos.criticalShed != 0) {
-    std::cerr << "FAIL: chaos run (violations=" << chaos.epochViolations
-              << ", quiesced=" << chaos.quiesced
-              << ", hash match=" << chaos.hashMatch
-              << ", critical shed=" << chaos.criticalShed << ")\n";
-    healthy = false;
+    status = bench::fail("chaos run (violations=", chaos.epochViolations,
+                         ", quiesced=", chaos.quiesced,
+                         ", hash match=", chaos.hashMatch,
+                         ", critical shed=", chaos.criticalShed, ")");
   }
   if (!smoke && chaos.epochs < 200) {
-    std::cerr << "FAIL: chaos run covered " << chaos.epochs
-              << " epochs < 200\n";
-    healthy = false;
+    status = bench::fail("chaos run covered ", chaos.epochs, " epochs < 200");
   }
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"e18_command_plane\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    appendThroughputJson(json, cells[i], i + 1 == cells.size());
-  }
-  json << "  ],\n  \"shedding\": {\n"
-       << "    \"bulk_shed\": " << shed.bulkShed << ",\n"
-       << "    \"capacity_shed\": " << shed.capacityShed << ",\n"
-       << "    \"critical_shed\": " << shed.criticalShed << ",\n"
-       << "    \"bulk_evictions\": " << shed.evictions << ",\n"
-       << "    \"critical_completed\": " << shed.criticalCompleted << ",\n"
-       << "    \"critical_submitted\": " << shed.criticalSubmitted
-       << "\n  },\n  \"chaos\": {\n"
-       << "    \"epochs\": " << chaos.epochs << ",\n"
-       << "    \"epoch_violations\": " << chaos.epochViolations << ",\n"
-       << "    \"quiesced\": " << (chaos.quiesced ? "true" : "false")
-       << ",\n"
-       << "    \"faults_injected\": " << chaos.faultsInjected << ",\n"
-       << "    \"rounds_committed\": " << chaos.roundsCommitted << ",\n"
-       << "    \"admitted\": " << chaos.admitted << ",\n"
-       << "    \"shed\": " << chaos.shed << ",\n"
-       << "    \"critical_shed\": " << chaos.criticalShed << ",\n"
-       << "    \"state_hash_before\": " << chaos.hashBefore << ",\n"
-       << "    \"state_hash_after_replay\": " << chaos.hashAfterReplay
-       << ",\n"
-       << "    \"state_hash_match\": " << (chaos.hashMatch ? "true" : "false")
-       << "\n  },\n  \"checks\": {\n"
-       << "    \"pipelined_speedup_disjoint\": " << speedupDisjoint << ",\n"
-       << "    \"pipelined_speedup_conflicting\": " << speedupConflicting
-       << ",\n"
-       << "    \"shedding_ok\": " << (sheddingOk ? "true" : "false") << ",\n"
-       << "    \"healthy\": " << (healthy ? "true" : "false") << "\n  }\n}\n";
+  const auto run = [](const ThroughputCell& r) -> bench::Json {
+    return {{"mode", r.mode}, {"workload", r.workload},
+            {"offered_rps", r.offered}, {"sustained_rps", r.sustained},
+            {"p50_latency_s", r.p50}, {"p99_latency_s", r.p99},
+            {"processed", r.processed}, {"rounds", r.rounds},
+            {"conflict_deferred", r.deferred}, {"final_queue", r.finalQueue}};
+  };
+  bench::Json doc = bench::report("e18_command_plane", smoke);
+  doc.add("runs", bench::Json::array(cells, run))
+      .add("shedding", {{"bulk_shed", shed.bulkShed},
+                        {"capacity_shed", shed.capacityShed},
+                        {"critical_shed", shed.criticalShed},
+                        {"bulk_evictions", shed.evictions},
+                        {"critical_completed", shed.criticalCompleted},
+                        {"critical_submitted", shed.criticalSubmitted}})
+      .add("chaos", {{"epochs", chaos.epochs},
+                     {"epoch_violations", chaos.epochViolations},
+                     {"quiesced", chaos.quiesced},
+                     {"faults_injected", chaos.faultsInjected},
+                     {"rounds_committed", chaos.roundsCommitted},
+                     {"admitted", chaos.admitted}, {"shed", chaos.shed},
+                     {"critical_shed", chaos.criticalShed},
+                     {"state_hash_before", chaos.hashBefore},
+                     {"state_hash_after_replay", chaos.hashAfterReplay},
+                     {"state_hash_match", chaos.hashMatch}})
+      .add("checks", {{"pipelined_speedup_disjoint", speedupDisjoint},
+                      {"pipelined_speedup_conflicting", speedupConflicting},
+                      {"shedding_ok", sheddingOk}, {"healthy", status == 0}});
+  bench::writeReport(args->out, doc);
+  if (status != 0) return status;
 
-  std::ofstream(outFile) << json.str();
-  std::cout << "\nwrote " << outFile << "\n";
-  if (!healthy) return 1;
-
-  if (!baselineFile.empty()) {
-    std::ifstream in(baselineFile);
-    if (!in) {
-      std::cerr << "FAIL: cannot read baseline " << baselineFile << "\n";
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const double base = extractNumber(buf.str(), "pipelined_speedup_disjoint");
-    std::cout << "baseline compare: pipelined_speedup_disjoint "
-              << speedupDisjoint << " vs " << base
-              << " (fail below 70% of baseline)\n";
-    if (base > 0.0 && speedupDisjoint < 0.7 * base) {
-      std::cerr << "FAIL: pipelined speedup regressed vs baseline\n";
-      return 1;
-    }
-  }
-  return 0;
+  return bench::baselineGates(*args, [&](const bench::Baseline& base) {
+    return base.requireAtLeast("pipelined_speedup_disjoint", speedupDisjoint,
+                               0.7, "pipelined_speedup_disjoint");
+  });
 }

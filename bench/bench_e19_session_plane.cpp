@@ -19,25 +19,21 @@
 // TTL 1 s / 30 s / 300 s, reporting sim-time drain-latency p50/p99 from
 // the engine's histogram (the transfer-drain gate).
 //
-// Flags:
-//   --smoke           small world, seconds not minutes (CI)
-//   --out FILE        machine-readable JSON (default BENCH_E19.json)
-//   --baseline FILE   compare against a previous JSON; exit non-zero on a
-//                     >30% connections/sec regression
+// Flags (bench/common/harness.hpp): --smoke (small world; seconds, not
+// minutes), --out FILE (default BENCH_E19.json), --baseline FILE (fail on
+// a >30% connections/sec regression).
+#include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/harness.hpp"
 #include "mdc/metrics/table.hpp"
 #include "mdc/scenario/session_engine.hpp"
-#include "mdc/util/stats.hpp"
 
 namespace {
 using namespace mdc;
@@ -88,8 +84,7 @@ struct SessionWorld {
         const VipId vip{a * 2 + k};
         const SwitchId sw{(a + k) % spec.numSwitches};
         if (!fleet.configureVip(sw, vip, ids[a]).ok()) {
-          std::cerr << "bench world wiring failed at app " << a << "\n";
-          std::exit(1);
+          std::exit(bench::fail("bench world wiring failed at app ", a));
         }
         for (std::uint32_t j = 0; j < 2; ++j) {
           RipEntry rip;
@@ -97,9 +92,8 @@ struct SessionWorld {
           rip.vm = VmId{nextRip};
           ++nextRip;
           if (!fleet.addRip(vip, rip).ok()) {
-            std::cerr << "bench world wiring failed at vip " << vip.value()
-                      << "\n";
-            std::exit(1);
+            std::exit(
+                bench::fail("bench world wiring failed at vip ", vip.value()));
           }
         }
         dns.addVip(ids[a], vip, 1.0);
@@ -144,43 +138,29 @@ CellResult runCell(const WorldSpec& spec, bool sharded, unsigned workers,
   SessionWorld w{spec, sharded, workers};
   for (int i = 0; i < warmup; ++i) w.step();
 
-  double bestP50 = -1.0;
-  double bestP99 = -1.0;
-  double bestConns = 0.0;
-  for (int window = 0; window < 3; ++window) {
-    std::vector<double> stepMs;
-    stepMs.reserve(static_cast<std::size_t>(epochs));
-    const std::uint64_t opens0 =
-        w.engine->totalArrivals() - w.engine->rejectedSessions();
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int e = 0; e < epochs; ++e) {
-      const auto s0 = std::chrono::steady_clock::now();
-      w.step();
-      const auto s1 = std::chrono::steady_clock::now();
-      stepMs.push_back(1000.0 *
-                       std::chrono::duration<double>(s1 - s0).count());
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const double wall = std::chrono::duration<double>(t1 - t0).count();
-    const std::uint64_t opens =
-        w.engine->totalArrivals() - w.engine->rejectedSessions() - opens0;
-    const double p50 = percentile(stepMs, 50.0);
-    if (bestP50 < 0.0 || p50 < bestP50) {
-      bestP50 = p50;
-      bestP99 = percentile(stepMs, 99.0);
-      bestConns = wall > 0.0 ? static_cast<double>(opens) / wall : 0.0;
-    }
-  }
+  const auto admitted = [&w] {
+    return w.engine->totalArrivals() - w.engine->rejectedSessions();
+  };
+  std::array<std::uint64_t, 3> opens{};
+  const bench::TimedWindow best =
+      bench::bestOfWindows(3, epochs, [&](std::size_t window) {
+        const std::uint64_t before = admitted();
+        w.step();
+        opens[window] += admitted() - before;
+      });
 
   CellResult r;
   r.mode = sharded ? "sharded" : "serialized";
   r.requestedWorkers = sharded ? workers : 1;
   r.workers = w.engine->workerCount();
   r.activeSessions = w.engine->activeSessions();
-  r.connsPerSec = bestConns;
-  r.ticksPerSec = bestP50 > 0.0 ? 1000.0 / bestP50 : 0.0;
-  r.p50Ms = bestP50;
-  r.p99Ms = bestP99;
+  r.connsPerSec = best.wallSeconds > 0.0
+                      ? static_cast<double>(opens[best.window]) /
+                            best.wallSeconds
+                      : 0.0;
+  r.ticksPerSec = best.p50Ms > 0.0 ? 1000.0 / best.p50Ms : 0.0;
+  r.p50Ms = best.p50Ms;
+  r.p99Ms = best.p99Ms;
   r.stateHash = w.engine->stateHash();
   return r;
 }
@@ -266,34 +246,12 @@ DrainResult runDrainCell(double ttlSeconds, bool smoke) {
   return d;
 }
 
-double extractNumber(const std::string& json, const std::string& key) {
-  const auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + pos + key.size() + 3, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string outFile = "BENCH_E19.json";
-  std::string baselineFile;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      outFile = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baselineFile = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--smoke] [--out FILE] [--baseline FILE]\n";
-      return 2;
-    }
-  }
-
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const auto args = bench::parseArgs(argc, argv, {"BENCH_E19.json", {}, {}});
+  if (!args) return 2;
+  const bool smoke = args->smoke;
 
   WorldSpec spec;
   if (smoke) {
@@ -318,6 +276,7 @@ int main(int argc, char** argv) {
                   static_cast<long long>(r.workers),
                   static_cast<long long>(r.activeSessions), r.connsPerSec,
                   r.ticksPerSec, r.p50Ms, r.p99Ms});
+    return bench::SweepCell{r.connsPerSec, r.workers};
   };
 
   if (!smoke) {
@@ -329,37 +288,28 @@ int main(int argc, char** argv) {
               << " live sessions...\n";
   }
   record(runCell(spec, /*sharded=*/false, 0, warmup, epochs));
+  std::vector<bench::SweepCell> sweep;  // the sharded cells
   for (const unsigned workers : kSweep) {
-    record(runCell(spec, /*sharded=*/true, workers, warmup, epochs));
+    sweep.push_back(
+        record(runCell(spec, /*sharded=*/true, workers, warmup, epochs)));
   }
 
   // Hash identity across the whole sweep: every cell ran the same virtual
   // world, so every cell must end in the same state.
-  bool sweepHashOk = true;
-  for (const CellResult& r : results) {
-    if (r.stateHash != results[0].stateHash) sweepHashOk = false;
-  }
+  const bool sweepHashOk =
+      std::ranges::all_of(results, [&](const CellResult& r) {
+        return r.stateHash == results[0].stateHash;
+      });
 
   const double serializedConns = results[0].connsPerSec;
   const double sharded1w = results[1].connsPerSec;
   const std::uint64_t peakActive = results[1].activeSessions;
-  double minRatio = 1e18;
-  double scalingEff = -1.0;
-  bool ratioOk = true;
-  for (std::size_t i = 2; i < results.size(); ++i) {
-    const double ratio = results[i].connsPerSec / sharded1w;
-    minRatio = std::min(minRatio, ratio);
-    // When the pool clamps a cell down to the same effective core count
-    // as the 1-worker baseline (single-core box), both cells run the
-    // exact same work and the ratio only measures scheduler noise on a
-    // virtualized core — gate that at 0.75.  Cells with genuinely more
-    // effective cores must not run slower than 1 worker: floor 0.9.
-    const double floor = results[i].workers > results[1].workers ? 0.9 : 0.75;
-    if (ratio < floor) ratioOk = false;
-    if (i + 1 == results.size()) {
-      scalingEff = ratio / static_cast<double>(results[i].workers);
-    }
-  }
+  // When the pool clamps a cell down to the same effective core count as
+  // the 1-worker baseline (single-core box), both cells run the exact
+  // same work and the ratio only measures scheduler noise on a
+  // virtualized core — gate that at 0.75.  Cells with genuinely more
+  // effective cores must not run slower than 1 worker: floor 0.9.
+  const bench::SweepSummary scaling = bench::sweepSummary(sweep, 0.9, 0.75);
 
   // --- equivalence ----------------------------------------------------------
   WorldSpec eqSpec = spec;
@@ -389,14 +339,13 @@ int main(int argc, char** argv) {
                        static_cast<long long>(d.broken), d.p50Seconds,
                        d.p99Seconds});
   }
+  const double drainP99Widest = drains.back().p99Seconds;
   bool drainsOk = true;
-  double drainP99Widest = 0.0;
   for (const DrainResult& d : drains) {
     if (d.started == 0 || d.completed + d.aborted < d.started ||
         d.broken != 0) {
       drainsOk = false;
     }
-    drainP99Widest = d.p99Seconds;
   }
   // Longer TTLs must cost drain latency (the paper's argument, measured).
   for (std::size_t i = 1; i < drains.size(); ++i) {
@@ -411,122 +360,77 @@ int main(int argc, char** argv) {
                " (post-clamp) cores; drain p99 grows with DNS TTL and no"
                " quiescent drain ever breaks a session\n";
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"e19_session_plane\",\n"
-       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-       << "  \"hardware_concurrency\": " << hw << ",\n"
-       << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    json << "    {\"mode\": \"" << r.mode
-         << "\", \"workers_requested\": " << r.requestedWorkers
-         << ", \"workers\": " << r.workers
-         << ", \"active_sessions\": " << r.activeSessions
-         << ", \"conns_per_sec\": " << r.connsPerSec
-         << ", \"ticks_per_sec\": " << r.ticksPerSec
-         << ", \"p50_ms\": " << r.p50Ms << ", \"p99_ms\": " << r.p99Ms
-         << ", \"state_hash\": " << r.stateHash << "}"
-         << (i + 1 == results.size() ? "\n" : ",\n");
-  }
-  json << "  ],\n  \"drains\": [\n";
-  for (std::size_t i = 0; i < drains.size(); ++i) {
-    const DrainResult& d = drains[i];
-    json << "    {\"ttl_seconds\": " << d.ttlSeconds
-         << ", \"started\": " << d.started
-         << ", \"completed\": " << d.completed
-         << ", \"aborted\": " << d.aborted << ", \"broken\": " << d.broken
-         << ", \"drain_p50_seconds\": " << d.p50Seconds
-         << ", \"drain_p99_seconds\": " << d.p99Seconds << "}"
-         << (i + 1 == drains.size() ? "\n" : ",\n");
-  }
+  const auto run = [](const CellResult& r) -> bench::Json {
+    return {{"mode", r.mode}, {"workers_requested", r.requestedWorkers},
+            {"workers", r.workers}, {"active_sessions", r.activeSessions},
+            {"conns_per_sec", r.connsPerSec}, {"ticks_per_sec", r.ticksPerSec},
+            {"p50_ms", r.p50Ms}, {"p99_ms", r.p99Ms},
+            {"state_hash", r.stateHash}};
+  };
+  const auto drain = [](const DrainResult& d) -> bench::Json {
+    return {{"ttl_seconds", d.ttlSeconds}, {"started", d.started},
+            {"completed", d.completed}, {"aborted", d.aborted},
+            {"broken", d.broken}, {"drain_p50_seconds", d.p50Seconds},
+            {"drain_p99_seconds", d.p99Seconds}};
+  };
   const bool capacityOk = smoke || peakActive >= 2'000'000;
-  const bool scalingOk = scalingEff >= 0.7 && ratioOk;
+  const bool scalingOk = scaling.efficiency >= 0.7 && scaling.floorsOk;
   const bool meets =
       capacityOk && scalingOk && eqOk && sweepHashOk && drainsOk;
-  json << "  ],\n  \"checks\": {\n"
-       << "    \"peak_active_sessions\": " << peakActive << ",\n"
-       << "    \"target_active_sessions\": "
-       << (smoke ? 0 : 2'000'000) << ",\n"
-       << "    \"conns_per_sec_serialized\": " << serializedConns << ",\n"
-       << "    \"conns_per_sec_1w\": " << sharded1w << ",\n"
-       << "    \"scaling_efficiency\": " << scalingEff << ",\n"
-       << "    \"workers_min_ratio\": " << minRatio << ",\n"
-       << "    \"target_scaling_efficiency\": 0.7,\n"
-       << "    \"equivalence_ok\": " << (eqOk ? "true" : "false") << ",\n"
-       << "    \"sweep_hash_ok\": " << (sweepHashOk ? "true" : "false")
-       << ",\n"
-       << "    \"drains_ok\": " << (drainsOk ? "true" : "false") << ",\n"
-       << "    \"drain_p99_widest_ttl_seconds\": " << drainP99Widest << ",\n"
-       << "    \"meets_target\": " << (meets ? "true" : "false") << "\n"
-       << "  }\n}\n";
-
-  std::ofstream(outFile) << json.str();
-  std::cout << "\nwrote " << outFile << "\n";
+  bench::Json doc = bench::report("e19_session_plane", smoke);
+  doc.add("runs", bench::Json::array(results, run))
+      .add("drains", bench::Json::array(drains, drain))
+      .add("checks", {{"peak_active_sessions", peakActive},
+                      {"target_active_sessions", smoke ? 0 : 2'000'000},
+                      {"conns_per_sec_serialized", serializedConns},
+                      {"conns_per_sec_1w", sharded1w},
+                      {"scaling_efficiency", scaling.efficiency},
+                      {"workers_min_ratio", scaling.minRatio},
+                      {"target_scaling_efficiency", 0.7},
+                      {"equivalence_ok", eqOk}, {"sweep_hash_ok", sweepHashOk},
+                      {"drains_ok", drainsOk},
+                      {"drain_p99_widest_ttl_seconds", drainP99Widest},
+                      {"meets_target", meets}});
+  bench::writeReport(args->out, doc);
 
   if (!eqOk) {
-    std::cerr << "FAIL: sharded tick diverged from serialized reference — "
-              << eqDetail << "\n";
-    return 1;
+    return bench::fail("sharded tick diverged from serialized reference — ",
+                       eqDetail);
   }
   if (!sweepHashOk) {
-    std::cerr << "FAIL: sweep cells disagree on final state hash — the"
-                 " worker count leaked into simulation state\n";
-    return 1;
+    return bench::fail("sweep cells disagree on final state hash — the"
+                       " worker count leaked into simulation state");
   }
   if (!drainsOk) {
-    std::cerr << "FAIL: drain cells misbehaved (a drain wedged, broke a"
-                 " session, or p99 failed to grow with TTL)\n";
-    return 1;
+    return bench::fail("drain cells misbehaved (a drain wedged, broke a"
+                       " session, or p99 failed to grow with TTL)");
   }
   if (!capacityOk) {
-    std::cerr << "FAIL: peak active sessions " << peakActive
-              << " < 2M target\n";
-    return 1;
+    return bench::fail("peak active sessions ", peakActive, " < 2M target");
   }
   if (!scalingOk) {
-    std::cerr << "FAIL: scaling efficiency " << scalingEff
-              << " (< 0.7 per effective core) or a worker cell ran below"
-                 " its floor (min ratio "
-              << minRatio << ", floor 0.9 scaled / 0.75 clamped)\n";
-    return 1;
+    return bench::fail("scaling efficiency ", scaling.efficiency,
+                       " (< 0.7 per effective core) or a worker cell ran below"
+                       " its floor (min ratio ",
+                       scaling.minRatio, ", floor 0.9 scaled / 0.75 clamped)");
   }
 
-  if (!baselineFile.empty()) {
-    std::ifstream in(baselineFile);
-    if (!in) {
-      std::cerr << "FAIL: cannot read baseline " << baselineFile << "\n";
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string base = buf.str();
-    // The sharded/serialized throughput ratio is scale-free, so it
-    // transfers between the smoke world and the full-scale committed
-    // baseline; absolute conns/sec does not (the smoke world amortizes
-    // per-tick overhead over far fewer arrivals), so that gate only
-    // applies when this run's mode matches the baseline's.
-    const double baseSerialized = extractNumber(base, "conns_per_sec_serialized");
-    const double baseConns = extractNumber(base, "conns_per_sec_1w");
+  // The sharded/serialized throughput ratio is scale-free, so it
+  // transfers between the smoke world and the full-scale committed
+  // baseline; absolute conns/sec does not (the smoke world amortizes
+  // per-tick overhead over far fewer arrivals), so that gate only
+  // applies when this run's mode matches the baseline's.
+  return bench::baselineGates(*args, [&](const bench::Baseline& base) {
+    const auto baseSerialized = base.number("conns_per_sec_serialized");
+    const auto baseConns = base.number("conns_per_sec_1w");
+    if (!baseSerialized || !baseConns) return false;
     const double baseRatio =
-        baseSerialized > 0.0 ? baseConns / baseSerialized : 0.0;
+        *baseSerialized > 0.0 ? *baseConns / *baseSerialized : 0.0;
     const double ratioNow =
         serializedConns > 0.0 ? sharded1w / serializedConns : 0.0;
-    std::cout << "baseline compare: sharded/serialized ratio " << ratioNow
-              << " vs " << baseRatio << " (fail below 70% of baseline)\n";
-    if (baseRatio > 0.0 && ratioNow < 0.7 * baseRatio) {
-      std::cerr << "FAIL: sharded throughput regressed >30% vs the"
-                   " serialized reference, relative to baseline\n";
-      return 1;
-    }
-    const bool baseSmoke = base.find("\"smoke\": true") != std::string::npos;
-    if (baseSmoke == smoke) {
-      std::cout << "baseline compare: conns/sec " << sharded1w << " vs "
-                << baseConns << " (fail below 70% of baseline)\n";
-      if (baseConns > 0.0 && sharded1w < 0.7 * baseConns) {
-        std::cerr << "FAIL: connections/sec regressed >30% vs baseline\n";
-        return 1;
-      }
-    }
-  }
-  return 0;
+    return base.atLeast(ratioNow, baseRatio, 0.7,
+                        "sharded/serialized conns/sec ratio") &&
+           (base.smoke() != smoke ||
+            base.atLeast(sharded1w, *baseConns, 0.7, "conns/sec"));
+  });
 }

@@ -376,10 +376,11 @@ EpochReport FluidEngine::step() {
   // --- Phases B1+B2: parallel link emission and merge ------------------
   // B1: each worker walks a static contiguous app range and appends
   // (link slot, gbps) into its own bucketed struct-of-arrays buffers
-  // (bucket = block-cyclic slice of the link index space).  B2: one job
-  // per bucket adds the buffered entries into linkOffered_, scanning the
-  // workers in slot order.  Bucket contents partition the link slots, so
-  // B2 jobs never write the same entry, and slot order x in-range order
+  // (bucket = block-cyclic slice of the link index space).  B2: each job
+  // takes a contiguous range of buckets and, bucket by bucket, adds the
+  // buffered entries into linkOffered_, scanning the workers in slot
+  // order.  Bucket contents partition the link slots, so B2 jobs never
+  // write the same entry, and slot order x in-range order
   // equals application order — every link sees the exact addition
   // sequence of the sequential path above, hence bit-identical results
   // for any worker count.
@@ -415,15 +416,18 @@ EpochReport FluidEngine::step() {
     }
     {
       const auto prof = profiler_.time(PhaseProfiler::Phase::Merge);
-      pool_.parallelFor(kMergeBuckets, [&](std::size_t b) {
-        for (std::size_t s = 0; s < activeSlots; ++s) {
-          const std::vector<std::uint32_t>& slots = emit_[s].slots[b];
-          const std::vector<double>& gbps = emit_[s].gbps[b];
-          for (std::size_t k = 0; k < slots.size(); ++k) {
-            linkOffered_[slots[k]] += gbps[k];
-          }
-        }
-      });
+      pool_.parallelRanges(
+          kMergeBuckets, [&](unsigned, std::size_t lo, std::size_t hi) {
+            for (std::size_t b = lo; b < hi; ++b) {
+              for (std::size_t s = 0; s < activeSlots; ++s) {
+                const std::vector<std::uint32_t>& slots = emit_[s].slots[b];
+                const std::vector<double>& gbps = emit_[s].gbps[b];
+                for (std::size_t k = 0; k < slots.size(); ++k) {
+                  linkOffered_[slots[k]] += gbps[k];
+                }
+              }
+            }
+          });
     }
   }
 

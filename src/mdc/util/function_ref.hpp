@@ -1,6 +1,6 @@
 // A non-owning, trivially copyable reference to a callable.
 //
-// The epoch engine hands closures to ThreadPool::parallelFor once per
+// The epoch engine hands closures to ThreadPool::parallelRanges once per
 // phase per epoch; binding them into a std::function would heap-allocate
 // on every call (the captures exceed any SBO buffer).  FunctionRef is the
 // classic two-pointer erasure — a void* to the callable plus a thunk —

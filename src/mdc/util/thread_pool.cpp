@@ -9,7 +9,7 @@
 namespace mdc {
 
 namespace {
-// True while the current thread is executing a parallelFor job — set on
+// True while the current thread is executing a parallelRanges job — set on
 // every thread that runs jobs (helpers and the participating caller),
 // so a nested fork from inside a job is refused deterministically.
 thread_local bool tlInParallelJob = false;
@@ -74,39 +74,33 @@ unsigned ThreadPool::resolveWorkers(unsigned requested) {
   return n;
 }
 
-void ThreadPool::runJobs(std::uint64_t round) {
-  // Tickets are drawn in chunks so fine-grained job lists (thousands of
-  // per-app descents) do not serialize on the mutex; the locked draw
-  // still makes cross-round races impossible: a straggler from an
-  // earlier round fails the round check and simply goes back to sleep.
+void ThreadPool::runSlots(std::uint64_t round) {
+  // Slots are drawn under the lock, so cross-round races are impossible:
+  // a straggler from an earlier round fails the round check and simply
+  // goes back to sleep.
   for (;;) {
-    std::size_t lo;
-    std::size_t hi;
+    std::size_t slot;
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      if (round != round_ || next_ >= jobs_) return;
-      lo = next_;
-      hi = lo + chunk_ < jobs_ ? lo + chunk_ : jobs_;
-      next_ = hi;
+      if (round != round_ || next_ >= slots_) return;
+      slot = next_++;
     }
-    // fn_ stays valid here: the caller cannot leave parallelFor while
-    // this drawn-but-unfinished chunk keeps pending_ above zero.
+    // fn_ stays valid here: the caller cannot leave parallelRanges while
+    // this drawn-but-unfinished slot keeps pending_ above zero.
     std::exception_ptr error;
     {
       const JobGuard guard;
-      for (std::size_t i = lo; i < hi && !error; ++i) {
-        try {
-          (*fn_)(i);
-        } catch (...) {
-          error = std::current_exception();
-        }
+      try {
+        (*fn_)(static_cast<unsigned>(slot), slot * items_ / slots_,
+               (slot + 1) * items_ / slots_);
+      } catch (...) {
+        error = std::current_exception();
       }
     }
     {
       const std::lock_guard<std::mutex> lock(mu_);
       if (error && !firstError_) firstError_ = error;
-      pending_ -= hi - lo;  // skipped-after-throw jobs count as done
-      if (pending_ == 0) done_.notify_all();
+      if (--pending_ == 0) done_.notify_all();
     }
   }
 }
@@ -121,63 +115,49 @@ void ThreadPool::workerLoop() {
       if (shutdown_) return;
       seenRound = round = round_;
     }
-    runJobs(round);
+    runSlots(round);
   }
 }
 
-void ThreadPool::parallelFor(std::size_t jobs,
-                             FunctionRef<void(std::size_t)> fn) {
+void ThreadPool::parallelRanges(std::size_t items, RangeFn fn) {
   MDC_EXPECT(!tlInParallelJob,
-             "nested parallelFor: the pool is not re-entrant");
-  if (jobs == 0) return;
-  if (threads_.empty() || jobs == 1) {
+             "nested parallelRanges: the pool is not re-entrant");
+  if (items == 0) return;
+  // One job per slot, each a contiguous range ascending in the slot
+  // index, so a slot-order concatenation of per-range output replays the
+  // sequential item order exactly — the property the engine's
+  // deterministic merges are built on.
+  const std::size_t slots =
+      items < static_cast<std::size_t>(workers_) ? items : workers_;
+  if (slots == 1) {
     const JobGuard guard;
-    for (std::size_t i = 0; i < jobs; ++i) fn(i);
+    fn(0, 0, items);
     return;
   }
   std::uint64_t round;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     fn_ = &fn;
-    jobs_ = jobs;
+    items_ = items;
+    slots_ = slots;
     next_ = 0;
-    // ~8 chunks per worker: coarse enough to keep the mutex quiet, fine
-    // enough that an uneven job mix still load-balances.
-    chunk_ = jobs / (static_cast<std::size_t>(workers_) * 8) + 1;
-    pending_ = jobs;
+    pending_ = slots;
     firstError_ = nullptr;
     round = ++round_;
   }
   wake_.notify_all();
-  runJobs(round);  // the caller is a worker too
+  runSlots(round);  // the caller is a worker too
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mu_);
     done_.wait(lock, [&] { return pending_ == 0; });
-    jobs_ = 0;
+    slots_ = 0;
     next_ = 0;
     fn_ = nullptr;
     error = firstError_;
     firstError_ = nullptr;
   }
   if (error) std::rethrow_exception(error);
-}
-
-void ThreadPool::parallelRanges(
-    std::size_t items,
-    FunctionRef<void(unsigned slot, std::size_t lo, std::size_t hi)> fn) {
-  if (items == 0) return;
-  const std::size_t slots =
-      items < static_cast<std::size_t>(workers_) ? items : workers_;
-  // One job per slot: the static-range dispatch.  Ranges are contiguous
-  // and ascending in the slot index, so a slot-order concatenation of
-  // per-range output replays the sequential item order exactly — the
-  // property the engine's deterministic merges are built on.
-  parallelFor(slots, [&](std::size_t s) {
-    const std::size_t lo = s * items / slots;
-    const std::size_t hi = (s + 1) * items / slots;
-    fn(static_cast<unsigned>(s), lo, hi);
-  });
 }
 
 }  // namespace mdc

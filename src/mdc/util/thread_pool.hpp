@@ -2,20 +2,18 @@
 //
 // The simulation kernel stays single-threaded; the pool exists only so a
 // *pure* computation inside one step — independent per-app work with no
-// shared mutable state — can be sharded across cores.  Two primitives:
+// shared mutable state — can be sharded across cores.  One primitive:
 //
-//   * parallelFor(jobs, fn) — fork/join over an index space.  The calling
-//     thread participates, jobs are handed out through a chunked cursor,
-//     and the call returns only when every job finished.  The callable is
-//     passed as a FunctionRef: no per-call std::function allocation.
-//   * parallelRanges(items, fn) — the coarse static variant the epoch
-//     engine's hot phases use: [0, items) is split into at most
-//     `workers()` contiguous ascending ranges and fn(slot, lo, hi) runs
-//     once per range.  The slot index identifies a *worker arena*: at
-//     most one live job per slot, so fn may write slot-private state
-//     (per-worker accumulators, arena segments) without synchronisation.
+//   * parallelRanges(items, fn) — fork/join over [0, items), split into
+//     at most `workers()` contiguous ascending ranges; fn(slot, lo, hi)
+//     runs once per range and the call returns only when every range
+//     finished.  The calling thread participates.  The slot index
+//     identifies a *worker arena*: at most one live job per slot, so fn
+//     may write slot-private state (per-worker accumulators, arena
+//     segments) without synchronisation.  The callable is passed as a
+//     FunctionRef: no per-call std::function allocation.
 //
-// Nested parallelism is refused: calling either primitive from inside a
+// Nested parallelism is refused: calling parallelRanges from inside a
 // running job throws (the pool has no re-entrant scheduler, and silently
 // running the nested loop inline would hide a quadratic fan-out).
 //
@@ -42,8 +40,8 @@ class ThreadPool {
   /// worker slot into 4 bits of a PathRef segment id.
   static constexpr unsigned kMaxWorkers = 16;
 
-  /// Spawns `workers - 1` helper threads (the caller of parallelFor is
-  /// the remaining worker).  Precondition: workers >= 1.  The count is
+  /// Spawns `workers - 1` helper threads (the caller of parallelRanges
+  /// is the remaining worker).  Precondition: workers >= 1.  The count is
   /// taken literally — knob clamping happens in resolveWorkers(), so
   /// tests may deliberately construct oversubscribed pools.
   explicit ThreadPool(unsigned workers);
@@ -54,19 +52,16 @@ class ThreadPool {
 
   [[nodiscard]] unsigned workers() const noexcept { return workers_; }
 
-  /// Runs fn(0) .. fn(jobs - 1), each exactly once, on the pool plus the
-  /// calling thread; blocks until all jobs completed.  Job order across
-  /// threads is unspecified — callers must make jobs independent.
-  /// Throws PreconditionError when called from inside a running job.
-  void parallelFor(std::size_t jobs, FunctionRef<void(std::size_t)> fn);
-
   /// Splits [0, items) into min(workers(), items) contiguous ascending
-  /// ranges of near-equal size and runs fn(slot, lo, hi) once per range.
-  /// Slots are dense in [0, workers()); at most one job per slot is ever
-  /// live, so fn may use `slot` to index per-worker state lock-free.
-  void parallelRanges(
-      std::size_t items,
-      FunctionRef<void(unsigned slot, std::size_t lo, std::size_t hi)> fn);
+  /// ranges of near-equal size and runs fn(slot, lo, hi) once per range,
+  /// on the pool plus the calling thread; blocks until all ranges
+  /// completed.  Slots are dense in [0, workers()); at most one job per
+  /// slot is ever live, so fn may use `slot` to index per-worker state
+  /// lock-free.  A 1-worker pool (or a single range) runs fn inline.
+  /// Throws PreconditionError when called from inside a running job.
+  using RangeFn =
+      FunctionRef<void(unsigned slot, std::size_t lo, std::size_t hi)>;
+  void parallelRanges(std::size_t items, RangeFn fn);
 
   /// Resolves a worker-count knob: 0 means "use the MDC_THREADS
   /// environment variable, else 1"; anything else is taken literally —
@@ -81,7 +76,7 @@ class ThreadPool {
 
  private:
   void workerLoop();
-  void runJobs(std::uint64_t round);
+  void runSlots(std::uint64_t round);
 
   const unsigned workers_;
   std::vector<std::thread> threads_;
@@ -90,17 +85,17 @@ class ThreadPool {
   std::condition_variable wake_;   // signals helpers: new round or shutdown
   std::condition_variable done_;   // signals the caller: round finished
   bool shutdown_ = false;
-  std::uint64_t round_ = 0;        // generation counter of parallelFor calls
+  std::uint64_t round_ = 0;        // generation counter of parallelRanges calls
 
   // State of the active round, all guarded by mu_ (fn_ is dereferenced
-  // outside the lock, but only for a job drawn while the round was live,
-  // which keeps pending_ > 0 and therefore the caller's parallelFor
-  // frame — where the pointee lives — alive).
-  const FunctionRef<void(std::size_t)>* fn_ = nullptr;
-  std::size_t jobs_ = 0;
-  std::size_t next_ = 0;
-  std::size_t chunk_ = 1;  // tickets drawn per lock acquisition
-  std::size_t pending_ = 0;
+  // outside the lock, but only for a slot drawn while the round was
+  // live, which keeps pending_ > 0 and therefore the caller's
+  // parallelRanges frame — where the pointee lives — alive).
+  const RangeFn* fn_ = nullptr;
+  std::size_t items_ = 0;
+  std::size_t slots_ = 0;
+  std::size_t next_ = 0;     // next slot to hand out
+  std::size_t pending_ = 0;  // slots not yet finished
   std::exception_ptr firstError_;
 };
 

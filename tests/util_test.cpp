@@ -1,14 +1,9 @@
 // Unit tests for the util module: strong ids, contracts, units, results,
-// statistics helpers, and the epoch engine's worker pool.
+// and statistics helpers (the worker pool has thread_pool_test.cpp).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
-#include <stdexcept>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -16,7 +11,6 @@
 #include "mdc/util/ids.hpp"
 #include "mdc/util/result.hpp"
 #include "mdc/util/stats.hpp"
-#include "mdc/util/thread_pool.hpp"
 #include "mdc/util/units.hpp"
 
 namespace mdc {
@@ -185,80 +179,6 @@ TEST(Units, Helpers) {
   EXPECT_DOUBLE_EQ(mbps(500.0), 0.5);
   EXPECT_DOUBLE_EQ(minutes(2.0), 120.0);
   EXPECT_DOUBLE_EQ(hours(1.0), 3600.0);
-}
-
-TEST(ThreadPool, RunsEveryJobExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.workers(), 4u);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallelFor(hits.size(), [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SingleWorkerRunsInline) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  pool.parallelFor(5, [&](std::size_t i) {
-    order.push_back(static_cast<int>(i));  // safe: no helper threads
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, ReusableAcrossRounds) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.parallelFor(17, [&](std::size_t) { total++; });
-  }
-  EXPECT_EQ(total.load(), 50 * 17);
-}
-
-TEST(ThreadPool, PropagatesJobExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallelFor(100,
-                                [&](std::size_t i) {
-                                  if (i == 57) {
-                                    throw std::runtime_error("job failed");
-                                  }
-                                }),
-               std::runtime_error);
-  // The pool must survive a failed round.
-  std::atomic<int> ran{0};
-  pool.parallelFor(8, [&](std::size_t) { ran++; });
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPool, ResolveWorkersHonoursEnv) {
-  // Oversubscription escape hatch makes the expectations machine-
-  // independent; the clamp itself is tested below.
-  ::setenv("MDC_ALLOW_OVERSUBSCRIBE", "1", 1);
-  EXPECT_EQ(ThreadPool::resolveWorkers(3), 3u);
-  ::setenv("MDC_THREADS", "5", 1);
-  EXPECT_EQ(ThreadPool::resolveWorkers(0), 5u);
-  ::unsetenv("MDC_THREADS");
-  EXPECT_EQ(ThreadPool::resolveWorkers(0), 1u);
-  ::unsetenv("MDC_ALLOW_OVERSUBSCRIBE");
-}
-
-TEST(ThreadPool, ResolveWorkersClampsToHardware) {
-  ::unsetenv("MDC_ALLOW_OVERSUBSCRIBE");
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  const unsigned cap = std::min(hw, ThreadPool::kMaxWorkers);
-  // A request beyond the machine is clamped, never oversubscribed.
-  EXPECT_EQ(ThreadPool::resolveWorkers(cap + 8), cap);
-  ::setenv("MDC_THREADS", "64", 1);
-  EXPECT_EQ(ThreadPool::resolveWorkers(0), cap);
-  ::unsetenv("MDC_THREADS");
-  // 1 worker is always granted as-is.
-  EXPECT_EQ(ThreadPool::resolveWorkers(1), 1u);
-}
-
-TEST(ThreadPool, ResolveWorkersCapsAtMaxEvenWhenOversubscribed) {
-  ::setenv("MDC_ALLOW_OVERSUBSCRIBE", "1", 1);
-  EXPECT_EQ(ThreadPool::resolveWorkers(ThreadPool::kMaxWorkers + 4),
-            ThreadPool::kMaxWorkers);
-  ::unsetenv("MDC_ALLOW_OVERSUBSCRIBE");
 }
 
 }  // namespace
